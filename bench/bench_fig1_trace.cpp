@@ -13,7 +13,7 @@ void print_trace(const char* title, int p, int b0,
                  rtc::core::RtVariant variant) {
   using namespace rtc;
   std::cout << title << "\n";
-  const core::RtSchedule s = core::build_rt_schedule(p, b0, variant);
+  const core::Schedule s = core::build_rt_schedule(p, b0, variant);
   for (std::size_t k = 0; k < s.steps.size(); ++k) {
     std::cout << "  step " << (k + 1) << " (blocks at depth "
               << s.steps[k].depth << "):\n";

@@ -2,7 +2,7 @@
 // same core schedule as the gray compositor — the schedule is pixel-
 // format agnostic; only serialization and the blend kernel change.
 #include "rtc/color/render.hpp"
-#include "rtc/common/check.hpp"
+#include "rtc/common/wire.hpp"
 #include "rtc/image/tiling.hpp"
 #include "rtc/obs/span.hpp"
 
@@ -59,52 +59,41 @@ RgbaImage composite_rt_color(comm::Comm& comm, const RgbaImage& partial,
                              img::BlendMode blend) {
   const int p = comm.size();
   const int r = comm.rank();
-  const core::RtSchedule sched = core::build_rt_schedule(
+  const core::Schedule sched = core::build_rt_schedule(
       p, initial_blocks, core::RtVariant::kGeneralized);
   const img::Tiling tiling(partial.pixel_count(), initial_blocks);
 
   RgbaImage buf = partial;
   std::vector<RgbA8> incoming;
-  for (std::size_t s = 0; s < sched.steps.size(); ++s) {
-    const core::RtStep& step = sched.steps[s];
-    const int tag = static_cast<int>(s) + 1;
+  for (const core::Step& step : sched.steps) {
     for (const core::Merge& m : step.merges) {
       if (m.sender != r) continue;
       const img::PixelSpan span = tiling.block(step.depth, m.block);
-      send_color_block(comm, m.receiver, tag, buf.view(span),
+      send_color_block(comm, m.receiver, step.tag, buf.view(span),
                        partial.width(), span.begin, use_trle);
     }
     for (const core::Merge& m : step.merges) {
       if (m.receiver != r) continue;
       const img::PixelSpan span = tiling.block(step.depth, m.block);
       incoming.resize(static_cast<std::size_t>(span.size()));
-      recv_color_block(comm, m.sender, tag, incoming, partial.width(),
+      recv_color_block(comm, m.sender, step.tag, incoming, partial.width(),
                        span.begin, use_trle);
       blend_in_place(buf.view(span), incoming, blend, m.sender_front);
       comm.charge_over(span.size());
     }
-    comm.mark(tag);
+    comm.mark(step.tag);
   }
 
   // Gather the owned final blocks to rank 0: [u32 count] then per
   // block [u32 depth][u64 index][raw pixels].
   const auto owned = sched.owned_blocks(r);
   std::vector<std::byte> payload;
-  auto put_u32 = [&](std::uint32_t v) {
-    for (int b = 0; b < 4; ++b)
-      payload.push_back(static_cast<std::byte>((v >> (8 * b)) & 0xffu));
-  };
-  auto put_u64 = [&](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b)
-      payload.push_back(static_cast<std::byte>((v >> (8 * b)) & 0xffu));
-  };
-  put_u32(static_cast<std::uint32_t>(owned.size()));
+  wire::WireWriter w(payload);
+  w.u32(static_cast<std::uint32_t>(owned.size()));
   for (const auto& [depth, index] : owned) {
-    put_u32(static_cast<std::uint32_t>(depth));
-    put_u64(static_cast<std::uint64_t>(index));
-    const std::vector<std::byte> body =
-        serialize_pixels(buf.view(tiling.block(depth, index)));
-    payload.insert(payload.end(), body.begin(), body.end());
+    w.u32(static_cast<std::uint32_t>(depth));
+    w.u64(static_cast<std::uint64_t>(index));
+    w.bytes(serialize_pixels(buf.view(tiling.block(depth, index))));
   }
 
   std::vector<std::vector<std::byte>> all =
@@ -113,37 +102,20 @@ RgbaImage composite_rt_color(comm::Comm& comm, const RgbaImage& partial,
   if (r != 0) return RgbaImage{};
 
   RgbaImage out(partial.width(), partial.height());
-  for (const std::vector<std::byte>& bufr : all) {
-    std::span<const std::byte> rest(bufr);
-    auto get_u32 = [&]() {
-      std::uint32_t v = 0;
-      for (int b = 0; b < 4; ++b)
-        v |= static_cast<std::uint32_t>(rest[static_cast<std::size_t>(b)])
-             << (8 * b);
-      rest = rest.subspan(4);
-      return v;
-    };
-    auto get_u64 = [&]() {
-      std::uint64_t v = 0;
-      for (int b = 0; b < 8; ++b)
-        v |= std::uint64_t{
-            static_cast<std::uint8_t>(rest[static_cast<std::size_t>(b)])}
-             << (8 * b);
-      rest = rest.subspan(8);
-      return v;
-    };
-    const std::uint32_t count = get_u32();
+  for (const std::vector<std::byte>& bytes : all) {
+    wire::WireReader rd(bytes);
+    const std::uint32_t count = rd.u32("color fragment count");
     for (std::uint32_t i = 0; i < count; ++i) {
-      const auto depth = static_cast<int>(get_u32());
-      const auto index = static_cast<std::int64_t>(get_u64());
+      const auto depth = static_cast<int>(rd.u32("color fragment depth"));
+      const auto index =
+          static_cast<std::int64_t>(rd.u64("color fragment index"));
       const img::PixelSpan span = tiling.block(depth, index);
-      const std::size_t bytes =
-          static_cast<std::size_t>(span.size()) * kBytesPerPixel;
-      RTC_CHECK(rest.size() >= bytes);
-      deserialize_pixels(rest.first(bytes), out.view(span));
-      rest = rest.subspan(bytes);
+      deserialize_pixels(
+          rd.bytes(static_cast<std::size_t>(span.size()) * kBytesPerPixel,
+                   "color fragment pixels"),
+          out.view(span));
     }
-    RTC_CHECK(rest.empty());
+    rd.finish("color gather payload");
   }
   return out;
 }

@@ -34,8 +34,8 @@ void trle_decode_color(std::span<const std::byte> bytes,
                        std::int64_t span_begin);
 
 /// Rotate-tiling composition of color partials over `comm` (collective;
-/// same schedule, wire rules and gather semantics as the gray
-/// RtCompositor). Returns the assembled image at rank 0.
+/// same schedule, wire rules and gather semantics as the gray schedule
+/// interpreter). Returns the assembled image at rank 0.
 [[nodiscard]] RgbaImage composite_rt_color(
     comm::Comm& comm, const RgbaImage& partial, int initial_blocks,
     bool use_trle, img::BlendMode blend = img::BlendMode::kOver);

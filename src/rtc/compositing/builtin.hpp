@@ -1,6 +1,6 @@
-// Factories for the baseline compositors defined in this module.
-// The string-keyed make_compositor() lives in rtc/core (it also knows
-// the rotate-tiling methods).
+// Factories for the compositors defined in this module. The
+// string-keyed make_compositor() lives in rtc/core (it also knows the
+// schedule-built methods: rotate-tiling, binary swap and direct send).
 #pragma once
 
 #include <memory>
@@ -9,10 +9,7 @@
 
 namespace rtc::compositing {
 
-[[nodiscard]] std::unique_ptr<Compositor> make_binary_swap();
-[[nodiscard]] std::unique_ptr<Compositor> make_binary_swap_any();
 [[nodiscard]] std::unique_ptr<Compositor> make_pipelined(bool exact);
-[[nodiscard]] std::unique_ptr<Compositor> make_direct_send();
 [[nodiscard]] std::unique_ptr<Compositor> make_radix_k();
 
 }  // namespace rtc::compositing

@@ -25,8 +25,8 @@ namespace rtc::compositing {
 
 struct Options {
   /// Initial blocks per sub-image (the paper's N). Used by the RT
-  /// methods; binary-swap always starts from one block and
-  /// parallel-pipelined always uses P blocks.
+  /// methods; binary swap and direct send always start from one block
+  /// and parallel-pipelined always uses P blocks.
   int initial_blocks = 1;
 
   /// Wire codec; nullptr means uncompressed (2 bytes/pixel).
@@ -43,11 +43,12 @@ struct Options {
   bool gather = true;
   int root = 0;
 
-  /// RT only: coalesce all blocks bound for the same receiver in one
-  /// step into a single message (the batching of the paper's Figure 1
-  /// example). Trades per-message startup for pipelining granularity —
-  /// see bench_ablation_aggregation. Default off, matching the paper's
-  /// per-message cost accounting.
+  /// Schedule-built methods (rt*, bswap, bswap_any, direct): coalesce
+  /// all blocks bound for the same receiver in one step into a single
+  /// message (the batching of the paper's Figure 1 example). Trades
+  /// per-message startup for pipelining granularity — see
+  /// bench_ablation. Default off, matching the paper's per-message cost
+  /// accounting.
   bool aggregate_messages = false;
 
   /// Reaction to unrecoverable wire faults and dead peers (fault.hpp).
@@ -129,9 +130,9 @@ class Compositor {
 
   /// One composition pass over the current comm.size() ranks — the
   /// actual schedule (bswap pairing, RT rotation, ring, ...). Public so
-  /// a method can delegate to another method's core (binary_swap falls
-  /// back to the any-P variant for non-power-of-two survivor counts);
-  /// callers outside the compositing layer should use run().
+  /// a method can run another method's core over a group view (hier's
+  /// two levels); callers outside the compositing layer should use
+  /// run().
   [[nodiscard]] virtual img::Image run_core(comm::Comm& comm,
                                             const img::Image& partial,
                                             const Options& opt) const = 0;

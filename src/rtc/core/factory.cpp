@@ -1,26 +1,21 @@
 // String-keyed compositor factory (declared in compositor.hpp; defined
-// here so it can name the rotate-tiling methods without a dependency
+// here so it can name the schedule-built methods without a dependency
 // cycle between the compositing and core libraries).
 #include "rtc/common/check.hpp"
 #include "rtc/compositing/builtin.hpp"
 #include "rtc/compositing/compositor.hpp"
 #include "rtc/core/hierarchical.hpp"
-#include "rtc/core/rt_compositor.hpp"
+#include "rtc/core/schedule.hpp"
+#include "rtc/core/schedule_compositor.hpp"
 
 namespace rtc::compositing {
 
 std::unique_ptr<Compositor> make_compositor(const std::string& name) {
-  if (name == "bswap") return make_binary_swap();
-  if (name == "bswap_any") return make_binary_swap_any();
+  if (core::is_schedule_method(name))
+    return core::make_schedule_compositor(name);
   if (name == "pp") return make_pipelined(/*exact=*/false);
   if (name == "pp_exact") return make_pipelined(/*exact=*/true);
-  if (name == "direct") return make_direct_send();
   if (name == "radix") return make_radix_k();
-  if (name == "rt_n") return core::make_rt_compositor(core::RtVariant::kNrt);
-  if (name == "rt_2n")
-    return core::make_rt_compositor(core::RtVariant::kTwoNrt);
-  if (name == "rt")
-    return core::make_rt_compositor(core::RtVariant::kGeneralized);
   if (name == "hier") return core::make_hierarchical();
   throw ContractError("unknown compositor: " + name);
 }

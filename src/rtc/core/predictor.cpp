@@ -7,17 +7,19 @@
 
 namespace rtc::core {
 
-Prediction predict_rt_time(const RtSchedule& sched,
-                           std::int64_t image_pixels, int bytes_per_pixel,
-                           const comm::NetworkModel& net) {
+Prediction predict_time(const Schedule& sched, std::int64_t image_pixels,
+                        int bytes_per_pixel, const comm::NetworkModel& net) {
   const int p = sched.ranks;
   const img::Tiling tiling(image_pixels, sched.initial_blocks);
 
   Prediction out;
   out.rank_clock.assign(static_cast<std::size_t>(p), 0.0);
   std::vector<double> egress(static_cast<std::size_t>(p), 0.0);
+  // Wire-frame sequence numbers, counted per sender from 1 like
+  // Comm::send's; the cloud jitter hashes them.
+  std::vector<std::uint32_t> seq(static_cast<std::size_t>(p), 0);
 
-  for (const RtStep& step : sched.steps) {
+  for (const Step& step : sched.steps) {
     // Phase 1: every rank issues its sends (schedule order), exactly
     // like the executor does before any receive of the step.
     // availability[i] is when merge i's payload lands.
@@ -32,7 +34,10 @@ Prediction predict_rt_time(const RtSchedule& sched,
       out.rank_clock[s] += net.ts;
       const double depart = std::max(out.rank_clock[s], egress[s]);
       egress[s] = depart + net.wire_time(bytes);
-      availability[i] = egress[s];
+      // The in-flight terms Comm::send adds, in its order.
+      availability[i] = egress[s] +
+                        net.topology_latency(m.sender, m.receiver) +
+                        net.jitter(m.sender, m.receiver, step.tag, ++seq[s]);
       step_sends[s] += 1;
       step_bytes[s] += bytes;
       out.total_bytes += bytes;

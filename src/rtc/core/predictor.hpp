@@ -1,14 +1,16 @@
-// Analytic dry run of a rotate-tiling schedule.
+// Analytic dry run of a composition schedule.
 //
 // Replays the exact timing semantics of comm::World (Ts-busy sends on a
-// serialized egress channel, availability-gated receives, To-per-pixel
-// composites) over an RtSchedule without touching any pixel data. For
-// an uncompressed run the predicted makespan equals the measured
-// virtual makespan *bit for bit* — the property test that pins the
-// simulator and the predictor to each other. This plays the role of
-// the paper's "theoretical analysis" columns, derived from our actual
-// schedule rather than the closed forms (which are kept, as printed,
-// in rtc/costmodel).
+// serialized egress channel, topology latency and cloud jitter on the
+// flight, availability-gated receives, To-per-pixel composites) over a
+// Schedule without touching any pixel data. For an uncompressed run
+// without gather the predicted makespan, per-rank clocks, bytes and
+// messages equal the simulator's *bit for bit*, for every
+// schedule-built method — the property test that pins the simulator
+// and the predictor to each other. This plays the role of the paper's
+// "theoretical analysis" columns, derived from our actual schedules
+// rather than the closed forms (which are kept, as printed, in
+// rtc/costmodel).
 #pragma once
 
 #include <cstdint>
@@ -34,10 +36,11 @@ struct Prediction {
 };
 
 /// Predicts the composition time of `sched` over an image of
-/// `image_pixels` with `bytes_per_pixel` on the wire (no codec).
-[[nodiscard]] Prediction predict_rt_time(const RtSchedule& sched,
-                                         std::int64_t image_pixels,
-                                         int bytes_per_pixel,
-                                         const comm::NetworkModel& net);
+/// `image_pixels` with `bytes_per_pixel` on the wire (no codec, per-merge
+/// messages, no gather).
+[[nodiscard]] Prediction predict_time(const Schedule& sched,
+                                      std::int64_t image_pixels,
+                                      int bytes_per_pixel,
+                                      const comm::NetworkModel& net);
 
 }  // namespace rtc::core

@@ -36,38 +36,33 @@ std::string to_string(RtVariant v) {
   return "?";
 }
 
-int RtSchedule::final_depth() const {
-  return steps.empty() ? 0 : static_cast<int>(steps.size()) - 1;
-}
-
-std::vector<std::pair<int, std::int64_t>> RtSchedule::owned_blocks(
+std::vector<std::pair<int, std::int64_t>> Schedule::owned_blocks(
     int rank) const {
   std::vector<std::pair<int, std::int64_t>> out;
-  const int d = final_depth();
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(final_owner.size());
        ++b) {
     if (final_owner[static_cast<std::size_t>(b)] == rank)
-      out.emplace_back(d, b);
+      out.emplace_back(final_depth, b);
   }
   return out;
 }
 
-std::int64_t RtSchedule::sends_in_step(int rank, int s) const {
+std::int64_t Schedule::sends_in_step(int rank, int s) const {
   std::int64_t n = 0;
   for (const Merge& m : steps[static_cast<std::size_t>(s)].merges)
     n += (m.sender == rank) ? 1 : 0;
   return n;
 }
 
-std::int64_t RtSchedule::recvs_in_step(int rank, int s) const {
+std::int64_t Schedule::recvs_in_step(int rank, int s) const {
   std::int64_t n = 0;
   for (const Merge& m : steps[static_cast<std::size_t>(s)].merges)
     n += (m.receiver == rank) ? 1 : 0;
   return n;
 }
 
-RtSchedule build_rt_schedule(int ranks, int initial_blocks,
-                             RtVariant variant) {
+Schedule build_rt_schedule(int ranks, int initial_blocks,
+                           RtVariant variant) {
   RTC_CHECK_MSG(ranks >= 1, "need at least one rank");
   RTC_CHECK_MSG(initial_blocks >= 1, "need at least one initial block");
   switch (variant) {
@@ -83,10 +78,9 @@ RtSchedule build_rt_schedule(int ranks, int initial_blocks,
       break;
   }
 
-  RtSchedule sched;
+  Schedule sched;
   sched.ranks = ranks;
   sched.initial_blocks = initial_blocks;
-  sched.variant = variant;
 
   const int total_steps = ceil_log2(ranks);
   if (total_steps == 0) {
@@ -104,7 +98,8 @@ RtSchedule build_rt_schedule(int ranks, int initial_blocks,
   }
 
   for (int s = 1; s <= total_steps; ++s) {
-    RtStep step;
+    Step step;
+    step.tag = s;
     step.depth = s - 1;
     const auto blocks = static_cast<std::int64_t>(copies.size());
 
@@ -205,6 +200,7 @@ RtSchedule build_rt_schedule(int ranks, int initial_blocks,
     }
   }
 
+  sched.final_depth = total_steps - 1;
   sched.final_owner.reserve(copies.size());
   for (const auto& cs : copies) {
     RTC_CHECK_MSG(cs.size() == 1 && cs[0].lo == 0 && cs[0].hi == ranks - 1,
@@ -212,6 +208,102 @@ RtSchedule build_rt_schedule(int ranks, int initial_blocks,
     sched.final_owner.push_back(cs[0].owner);
   }
   return sched;
+}
+
+Schedule build_bswap_schedule(int ranks) {
+  RTC_CHECK_MSG(ranks >= 1, "need at least one rank");
+  Schedule sched;
+  sched.ranks = ranks;
+  const int m = static_cast<int>(std::bit_floor(static_cast<unsigned>(ranks)));
+  const int folded = ranks - m;
+
+  // Fold: unit u < folded is rank 2u covering {2u, 2u+1}; unit
+  // u >= folded is rank u + folded covering itself.
+  if (folded > 0) {
+    Step fold;
+    for (int u = 0; u < folded; ++u)
+      fold.merges.push_back(Merge{0, 2 * u + 1, 2 * u, false});
+    sched.steps.push_back(std::move(fold));
+  }
+  const auto owner = [folded](int u) {
+    return u < folded ? 2 * u : u + folded;
+  };
+
+  // live[u]: unit u's live block index at the current depth.
+  std::vector<std::int64_t> live(static_cast<std::size_t>(m), 0);
+  const int steps = std::countr_zero(static_cast<unsigned>(m));
+  for (int k = 1; k <= steps; ++k) {
+    Step step;
+    step.tag = k;
+    step.depth = k;
+    step.merges.reserve(static_cast<std::size_t>(m));
+    for (int u = 0; u < m; ++u) {
+      // Unit u keeps the half selected by bit k-1 and receives the
+      // partner's copy of it; the partner covers the adjacent interval.
+      const int partner = u ^ (1 << (k - 1));
+      std::int64_t& keep = live[static_cast<std::size_t>(u)];
+      keep = keep * 2 + ((u >> (k - 1)) & 1);
+      step.merges.push_back(
+          Merge{keep, owner(partner), owner(u), partner < u});
+    }
+    sched.steps.push_back(std::move(step));
+  }
+
+  sched.final_depth = steps;
+  sched.final_owner.resize(static_cast<std::size_t>(m));
+  for (int u = 0; u < m; ++u) {
+    const auto b = static_cast<std::size_t>(live[static_cast<std::size_t>(u)]);
+    sched.final_owner[b] = owner(u);
+  }
+  return sched;
+}
+
+Schedule build_direct_schedule(int ranks, int root) {
+  RTC_CHECK_MSG(ranks >= 1, "need at least one rank");
+  RTC_CHECK_MSG(root >= 0 && root < ranks, "root outside the ranks");
+  Schedule sched;
+  sched.ranks = ranks;
+  sched.final_owner = {root};
+  sched.ends_at_root = true;
+  if (ranks == 1) return sched;
+  Step step;
+  step.tag = 1;
+  for (int src = root + 1; src < ranks; ++src)
+    step.merges.push_back(Merge{0, src, root, false});
+  for (int src = root - 1; src >= 0; --src)
+    step.merges.push_back(Merge{0, src, root, true});
+  sched.steps.push_back(std::move(step));
+  return sched;
+}
+
+bool is_schedule_method(const std::string& method) {
+  return method == "rt" || method == "rt_n" || method == "rt_2n" ||
+         method == "bswap" || method == "bswap_any" || method == "direct";
+}
+
+Schedule build_schedule(const std::string& method, int ranks,
+                        int initial_blocks, int root) {
+  if (method == "rt_n")
+    return build_rt_schedule(ranks, initial_blocks, RtVariant::kNrt);
+  if (method == "rt_2n")
+    return build_rt_schedule(ranks, initial_blocks, RtVariant::kTwoNrt);
+  if (method == "rt")
+    return build_rt_schedule(ranks, initial_blocks, RtVariant::kGeneralized);
+  if (method == "bswap") {
+    RTC_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(ranks)),
+                  "binary-swap needs a power-of-two processor count");
+    return build_bswap_schedule(ranks);
+  }
+  if (method == "bswap_any") return build_bswap_schedule(ranks);
+  if (method == "direct") return build_direct_schedule(ranks, root);
+  throw ContractError("not a schedule-built method: " + method);
+}
+
+std::string any_p_method(const std::string& method, int ranks) {
+  if (method == "bswap" && !std::has_single_bit(static_cast<unsigned>(ranks)))
+    return "bswap_any";
+  if (method == "rt_n" && ranks % 2 != 0 && ranks != 1) return "rt";
+  return method;
 }
 
 }  // namespace rtc::core

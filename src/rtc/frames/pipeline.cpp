@@ -7,6 +7,7 @@
 
 #include "rtc/common/check.hpp"
 #include "rtc/comm/stale.hpp"
+#include "rtc/core/schedule.hpp"
 #include "rtc/frames/coherence.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/harness/table.hpp"
@@ -259,17 +260,9 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
         stale = comm::StaleStore(ranks_eff);
         // Later frames run ungrouped at the survivor count, so a
         // method whose applicability rule breaks there falls back to
-        // its any-P sibling — the same pair the in-frame grouped
-        // recomposition falls back to (bswap needs a power of two,
-        // N_RT an even processor count).
-        if (method_eff == "bswap" &&
-            (ranks_eff & (ranks_eff - 1)) != 0) {
-          method_eff = "bswap_any";
-        }
-        if (method_eff == "rt_n" && ranks_eff % 2 != 0 &&
-            ranks_eff != 1) {
-          method_eff = "rt";
-        }
+        // its any-P sibling — the same one the in-frame grouped
+        // recomposition runs.
+        method_eff = core::any_p_method(method_eff, ranks_eff);
       }
     }
 

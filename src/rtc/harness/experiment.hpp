@@ -42,7 +42,7 @@ struct CompositionConfig {
   int group_size = 0;
   std::string hier_intra = "rt";
   std::string hier_inter = "bswap_any";
-  bool aggregate_messages = false;  ///< RT: one message per receiver/step
+  bool aggregate_messages = false;  ///< one message per receiver/step
   img::BlendMode blend = img::BlendMode::kOver;
   bool record_events = false;  ///< capture Event timeline into stats
   /// Arm the obs tracing layer: per-rank span rings drained into

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "rtc/common/check.hpp"
+#include "rtc/core/schedule.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/harness/table.hpp"
 #include "rtc/quality/quality.hpp"
@@ -399,10 +400,7 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         // The survivor renumbering re-keys every cache/stale slot in
         // EVERY session, not just the one that was in flight.
         for (Session& s : sessions) s.reset_rank_state(ranks_eff);
-        if (method_eff == "bswap" && (ranks_eff & (ranks_eff - 1)) != 0)
-          method_eff = "bswap_any";
-        if (method_eff == "rt_n" && ranks_eff % 2 != 0 && ranks_eff != 1)
-          method_eff = "rt";
+        method_eff = core::any_p_method(method_eff, ranks_eff);
       }
     }
 

@@ -7,6 +7,7 @@
 #include <random>
 #include <sstream>
 
+#include "rtc/core/schedule.hpp"
 #include "rtc/harness/experiment.hpp"
 #include "rtc/image/ops.hpp"
 #include "testutil.hpp"
@@ -54,7 +55,7 @@ Config random_config(std::mt19937& rng) {
   c.h = static_cast<int>(5 + rng() % 20);
   c.blank = 0.1 * static_cast<double>(rng() % 10);
   c.binary = c.blend != img::BlendMode::kMax;  // exactness lever
-  c.aggregate = (rng() % 3 == 0) && c.method.rfind("rt", 0) == 0;
+  c.aggregate = (rng() % 3 == 0) && core::is_schedule_method(c.method);
   return c;
 }
 

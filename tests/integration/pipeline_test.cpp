@@ -142,29 +142,48 @@ TEST(Pipeline, EveryMethodSameImageAcrossRoots) {
   const img::Image ref = img::composite_reference(partials);
   // run_composition gathers at root 0; exercise non-zero roots via the
   // compositor API directly.
-  const auto method = compositing::make_compositor("rt_2n");
-  for (const int root : {0, 3, 7}) {
-    comm::World world(8, comm::sp2_hps_model());
-    std::vector<img::Image> results(8);
-    compositing::Options opt;
-    opt.initial_blocks = 4;
-    opt.gather = true;
-    opt.root = root;
-    world.run([&](comm::Comm& c) {
-      results[static_cast<std::size_t>(c.rank())] = method->run(
-          c, partials[static_cast<std::size_t>(c.rank())], opt);
-    });
-    for (int r = 0; r < 8; ++r) {
-      if (r == root) {
-        EXPECT_LE(img::max_channel_diff(
-                      results[static_cast<std::size_t>(r)], ref),
-                  6)
-            << "root " << root;
-      } else {
-        EXPECT_EQ(results[static_cast<std::size_t>(r)].pixel_count(), 0);
+  for (const char* name : {"rt_2n", "bswap_any", "direct"}) {
+    const auto method = compositing::make_compositor(name);
+    for (const int root : {0, 3, 7}) {
+      comm::World world(8, comm::sp2_hps_model());
+      std::vector<img::Image> results(8);
+      compositing::Options opt;
+      opt.initial_blocks = 4;
+      opt.gather = true;
+      opt.root = root;
+      world.run([&](comm::Comm& c) {
+        results[static_cast<std::size_t>(c.rank())] = method->run(
+            c, partials[static_cast<std::size_t>(c.rank())], opt);
+      });
+      for (int r = 0; r < 8; ++r) {
+        if (r == root) {
+          EXPECT_LE(img::max_channel_diff(
+                        results[static_cast<std::size_t>(r)], ref),
+                    6)
+              << name << " root " << root;
+        } else {
+          EXPECT_EQ(results[static_cast<std::size_t>(r)].pixel_count(), 0);
+        }
       }
     }
   }
+}
+
+TEST(Pipeline, AggregatedDirectSendRefusesAFrontSender) {
+  // Aggregated messages are taken in ascending sender order; at root 3
+  // that would fold rank 0 into the root's image before ranks 1 and 2,
+  // out of depth order. The interpreter refuses instead.
+  const Scene scene = make_scene("head", 32, 64);
+  const auto partials = render_partials(scene, 8, PartitionKind::kSlab1D);
+  const auto method = compositing::make_compositor("direct");
+  comm::World world(8, comm::sp2_hps_model());
+  compositing::Options opt;
+  opt.aggregate_messages = true;
+  opt.root = 3;
+  EXPECT_THROW(world.run([&](comm::Comm& c) {
+    (void)method->run(c, partials[static_cast<std::size_t>(c.rank())], opt);
+  }),
+               ContractError);
 }
 
 }  // namespace

@@ -665,9 +665,16 @@ int cmd_schedule(const Args& a) {
   const int blocks = a.get_int("blocks", 4);
   const std::string variant = a.get("variant", "any");
   core::RtVariant v = core::RtVariant::kGeneralized;
-  if (variant == "n") v = core::RtVariant::kNrt;
-  if (variant == "2n") v = core::RtVariant::kTwoNrt;
-  const core::RtSchedule s = core::build_rt_schedule(ranks, blocks, v);
+  if (variant == "n") {
+    v = core::RtVariant::kNrt;
+  } else if (variant == "2n") {
+    v = core::RtVariant::kTwoNrt;
+  } else if (variant != "any") {
+    std::cerr << "unknown --variant: " << variant
+              << " (expected n|2n|any)\n";
+    return 2;
+  }
+  const core::Schedule s = core::build_rt_schedule(ranks, blocks, v);
   std::cout << core::to_string(v) << ", P=" << ranks << ", " << blocks
             << " initial blocks, " << s.steps.size() << " steps\n";
   for (std::size_t k = 0; k < s.steps.size(); ++k) {
@@ -700,9 +707,9 @@ int cmd_predict(const Args& a) {
   const auto pixels =
       static_cast<std::int64_t>(a.get_int("pixels", 512 * 512));
 
-  const core::RtSchedule s = core::build_rt_schedule(
+  const core::Schedule s = core::build_rt_schedule(
       ranks, blocks, core::RtVariant::kGeneralized);
-  const core::Prediction p = core::predict_rt_time(s, pixels, 2, net);
+  const core::Prediction p = core::predict_time(s, pixels, 2, net);
   std::cout << "RT, P=" << ranks << ", " << blocks
             << " blocks, A=" << pixels << " px\n"
             << "predicted composition time: " << p.makespan << " s\n"
