@@ -27,7 +27,8 @@ using namespace rtc;
 img::Image synthetic_partial(int size, int rank) {
   img::Image im(size, size);
   std::uint64_t s = 0x9e3779b97f4a7c15ULL +
-                    static_cast<std::uint64_t>(rank) * 0xbf58476d1ce4e5b9ULL;
+                    static_cast<std::uint64_t>(rank) *
+                        std::uint64_t{0xbf58476d1ce4e5b9};
   auto next = [&s]() {
     s = s * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<std::uint32_t>(s >> 33);

@@ -1,7 +1,9 @@
 // Per-rank and aggregate traffic/timing statistics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -9,17 +11,11 @@
 
 namespace rtc::comm {
 
-/// One virtual-time interval on a rank, for timeline export.
-struct Event {
-  enum class Kind { kSend, kRecvWait, kCompute, kOver };
-  Kind kind = Kind::kCompute;
-  double start = 0.0;
-  double end = 0.0;
-  int peer = -1;           ///< other rank for send/recv, else -1
-  std::int64_t bytes = 0;  ///< payload bytes (send/recv) or pixels
-};
-
-struct RankStats {
+/// The additive per-rank counters, and nothing else: every member is an
+/// int64 a run only ever adds to, with one kRankCounters row below.
+/// Totals, the fault predicates, reset and the cross-run fold all walk
+/// that table, so a new counter needs its member and its row only.
+struct RankCounters {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
   std::int64_t messages_received = 0;
@@ -35,12 +31,9 @@ struct RankStats {
   std::int64_t delays_injected = 0;       ///< delay spikes absorbed
   std::int64_t lost_messages = 0;         ///< retry budget exhausted
   std::int64_t lost_pixels = 0;           ///< pixels substituted blank
-  /// Block ids the compositor had to substitute blank (degradation).
-  std::vector<std::int64_t> lost_blocks;
   // Self-healing counters (membership/recompose/relay layer; all zero
   // on a clean run and under kThrow/kBlank policies).
   std::int64_t recomposes = 0;        ///< survivor-recomposition passes
-  std::uint32_t membership_epoch = 0; ///< final agreed membership epoch
   std::int64_t relayed_messages = 0;  ///< own sends detoured via a relay
   std::int64_t relayed_bytes = 0;
   std::int64_t relay_through_messages = 0;  ///< messages forwarded for others
@@ -66,6 +59,77 @@ struct RankStats {
   std::int64_t coherence_hits = 0;    ///< blocks unchanged since last frame
   std::int64_t coherence_misses = 0;  ///< blocks re-encoded fresh
   std::int64_t coherence_bytes_saved = 0;  ///< wire bytes not resent
+};
+
+/// A rank counter, named by its member (&RankCounters::retransmits).
+using RankCounter = std::int64_t RankCounters::*;
+
+/// What a nonzero counter says about a run, in increasing order:
+/// has_faults() reads every row at or above kRecovered and degraded()
+/// every row at kDegrades, so has_faults() ⊇ degraded() by construction.
+enum class CounterEffect : std::uint8_t {
+  kNone,       ///< traffic, work and cache accounting
+  kRecovered,  ///< fault activity that left the image bit-exact
+  kDegrades,   ///< the image is no longer guaranteed bit-exact
+};
+
+struct CounterRow {
+  RankCounter field;
+  CounterEffect effect;
+};
+
+inline constexpr CounterRow kRankCounters[] = {
+    {&RankCounters::messages_sent, CounterEffect::kNone},
+    {&RankCounters::bytes_sent, CounterEffect::kNone},
+    {&RankCounters::messages_received, CounterEffect::kNone},
+    {&RankCounters::bytes_received, CounterEffect::kNone},
+    {&RankCounters::pixels_composited, CounterEffect::kNone},
+    {&RankCounters::retransmits, CounterEffect::kRecovered},
+    {&RankCounters::crc_failures, CounterEffect::kRecovered},
+    {&RankCounters::drops_detected, CounterEffect::kRecovered},
+    {&RankCounters::duplicates_discarded, CounterEffect::kRecovered},
+    {&RankCounters::delays_injected, CounterEffect::kRecovered},
+    {&RankCounters::lost_messages, CounterEffect::kDegrades},
+    {&RankCounters::lost_pixels, CounterEffect::kDegrades},
+    {&RankCounters::recomposes, CounterEffect::kRecovered},
+    {&RankCounters::relayed_messages, CounterEffect::kRecovered},
+    {&RankCounters::relayed_bytes, CounterEffect::kRecovered},
+    {&RankCounters::relay_through_messages, CounterEffect::kRecovered},
+    {&RankCounters::relay_through_bytes, CounterEffect::kRecovered},
+    {&RankCounters::breaker_trips, CounterEffect::kRecovered},
+    {&RankCounters::breaker_probes, CounterEffect::kRecovered},
+    {&RankCounters::jitter_delays, CounterEffect::kRecovered},
+    {&RankCounters::stragglers_flagged, CounterEffect::kRecovered},
+    {&RankCounters::hedged_sends, CounterEffect::kRecovered},
+    {&RankCounters::hedged_bytes, CounterEffect::kRecovered},
+    {&RankCounters::hedge_wins, CounterEffect::kRecovered},
+    {&RankCounters::deadline_misses, CounterEffect::kDegrades},
+    // A stale tile with no pixels changes nothing; stale_pixels is the
+    // row that degrades.
+    {&RankCounters::stale_tiles, CounterEffect::kRecovered},
+    {&RankCounters::stale_pixels, CounterEffect::kDegrades},
+    {&RankCounters::approx_skipped_pixels, CounterEffect::kDegrades},
+    {&RankCounters::coherence_hits, CounterEffect::kNone},
+    {&RankCounters::coherence_misses, CounterEffect::kNone},
+    {&RankCounters::coherence_bytes_saved, CounterEffect::kNone},
+};
+// Together: every RankCounters field has exactly one row.
+static_assert(sizeof(RankCounters) ==
+                  std::size(kRankCounters) * sizeof(std::int64_t),
+              "a RankCounters field has no kRankCounters row");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kRankCounters); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+          if (kRankCounters[i].field == kRankCounters[j].field) return false;
+      return true;
+    }(),
+    "a RankCounters field has two kRankCounters rows");
+
+struct RankStats : RankCounters {
+  /// Block ids the compositor had to substitute blank (degradation).
+  std::vector<std::int64_t> lost_blocks;
+  std::uint32_t membership_epoch = 0;  ///< final agreed membership epoch
   /// Wire-frame sequence numbers this rank consumed: [seq_first,
   /// seq_last] (seq_last < seq_first when no message was sent). The
   /// range is disjoint across frames when World::set_seq_epoch is
@@ -78,9 +142,6 @@ struct RankStats {
   /// compositors mark the end of each communication step so benches
   /// can print per-step timing next to the per-step model rows.
   std::vector<std::pair<int, double>> marks;
-  /// Virtual-time intervals, only populated when the World has
-  /// set_record_events(true).
-  std::vector<Event> events;
   /// Observability spans (obs layer), only populated when the World has
   /// set_trace({.enabled = true}). Drained from the rank's ring after
   /// the rank threads join.
@@ -94,6 +155,33 @@ struct RankStats {
   /// assigning a fresh RankStats.
   void reset_counters() { *this = RankStats{}; }
 };
+
+/// Folds one run's rank `src` into `dst`, an accumulator over runs laid
+/// on one timeline (the render service's submissions): every
+/// kRankCounters row and spans_dropped add, lost blocks append, the
+/// membership epoch takes the max and `crashed` ORs. The clock, marks
+/// and spans shift by `v_shift`, and the spans are stamped `frame`.
+/// seq_first/seq_last are per-run window bounds with no meaningful sum,
+/// so they are left alone.
+inline void fold_rank(RankStats& dst, const RankStats& src, double v_shift,
+                      int frame) {
+  for (const CounterRow& row : kRankCounters)
+    dst.*row.field += src.*row.field;
+  dst.lost_blocks.insert(dst.lost_blocks.end(), src.lost_blocks.begin(),
+                         src.lost_blocks.end());
+  dst.membership_epoch = std::max(dst.membership_epoch, src.membership_epoch);
+  dst.crashed = dst.crashed || src.crashed;
+  dst.clock = std::max(dst.clock, v_shift + src.clock);
+  for (const auto& [id, t] : src.marks)
+    dst.marks.emplace_back(id, v_shift + t);
+  for (obs::Span s : src.spans) {
+    s.v_begin += v_shift;
+    s.v_end += v_shift;
+    s.frame = frame;
+    dst.spans.push_back(s);
+  }
+  dst.spans_dropped += src.spans_dropped;
+}
 
 /// Per-session admission/latency counters from the render-service
 /// front end (src/rtc/service). Sessions are service clients, not
@@ -164,16 +252,26 @@ struct RunStats {
     return m;
   }
 
-  [[nodiscard]] std::int64_t total_bytes_sent() const {
-    std::int64_t b = 0;
-    for (const RankStats& r : ranks) b += r.bytes_sent;
-    return b;
+  /// One rank counter summed over every rank.
+  [[nodiscard]] std::int64_t total(RankCounter field) const {
+    std::int64_t n = 0;
+    for (const RankStats& r : ranks) n += r.*field;
+    return n;
   }
 
-  [[nodiscard]] std::int64_t total_messages() const {
+  /// One session counter summed over every session (0 with none).
+  [[nodiscard]] std::int64_t session_total(
+      std::int64_t SessionStats::*field) const {
     std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.messages_sent;
+    for (const SessionStats& s : sessions) n += s.*field;
     return n;
+  }
+
+  [[nodiscard]] std::int64_t total_bytes_sent() const {
+    return total(&RankCounters::bytes_sent);
+  }
+  [[nodiscard]] std::int64_t total_messages() const {
+    return total(&RankCounters::messages_sent);
   }
 
   [[nodiscard]] std::int64_t max_messages_sent_by_rank() const {
@@ -186,45 +284,25 @@ struct RunStats {
   // --- fault/degradation aggregates -------------------------------
 
   [[nodiscard]] std::int64_t total_retransmits() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.retransmits;
-    return n;
+    return total(&RankCounters::retransmits);
   }
-
   [[nodiscard]] std::int64_t total_crc_failures() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.crc_failures;
-    return n;
+    return total(&RankCounters::crc_failures);
   }
-
   [[nodiscard]] std::int64_t total_drops_detected() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.drops_detected;
-    return n;
+    return total(&RankCounters::drops_detected);
   }
-
   [[nodiscard]] std::int64_t total_duplicates_discarded() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.duplicates_discarded;
-    return n;
+    return total(&RankCounters::duplicates_discarded);
   }
-
   [[nodiscard]] std::int64_t total_delays_injected() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.delays_injected;
-    return n;
+    return total(&RankCounters::delays_injected);
   }
-
   [[nodiscard]] std::int64_t total_lost_messages() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.lost_messages;
-    return n;
+    return total(&RankCounters::lost_messages);
   }
-
   [[nodiscard]] std::int64_t total_lost_pixels() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.lost_pixels;
-    return n;
+    return total(&RankCounters::lost_pixels);
   }
 
   /// Every block id any rank substituted blank, in rank order.
@@ -242,26 +320,29 @@ struct RunStats {
     return out;
   }
 
-  /// True when the result is not guaranteed bit-exact: some work was
-  /// lost (dead rank or exhausted retries) and substituted blank, a
-  /// frame deadline expired and stale/blank content stood in, or the
-  /// quality ladder actually traded exactness (approximate skips
-  /// happened, or a coarse pass was delivered unrefined).
+  /// True when the result is not guaranteed bit-exact: a rank crashed,
+  /// a kDegrades counter is nonzero (work lost and substituted blank, a
+  /// frame deadline expired and stale content stood in, approximate
+  /// blends were skipped), or a coarse pass was delivered unrefined.
   [[nodiscard]] bool degraded() const {
-    for (const RankStats& r : ranks) {
-      if (r.crashed || r.lost_messages > 0 || r.lost_pixels > 0) return true;
-      if (r.deadline_misses > 0 || r.stale_pixels > 0) return true;
-      if (r.approx_skipped_pixels > 0) return true;
-    }
-    return coarse_pixels > 0;
+    return any_counter_at(CounterEffect::kDegrades);
+  }
+
+  /// True when the run saw *any* fault activity at all: everything
+  /// degraded() sees, plus faults that were fully recovered (kRecovered
+  /// counters such as retransmits, relays and dedup) and a membership
+  /// change. A superset of degraded() by construction; the frame
+  /// pipeline uses it for epoch hygiene checks across frame
+  /// boundaries.
+  [[nodiscard]] bool has_faults() const {
+    return max_membership_epoch() > 0 ||
+           any_counter_at(CounterEffect::kRecovered);
   }
 
   // --- self-healing aggregates ------------------------------------
 
   [[nodiscard]] std::int64_t total_recomposes() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.recomposes;
-    return n;
+    return total(&RankCounters::recomposes);
   }
 
   /// Highest membership epoch any survivor agreed on (0: no change).
@@ -273,101 +354,46 @@ struct RunStats {
   }
 
   [[nodiscard]] std::int64_t total_relayed_messages() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.relayed_messages;
-    return n;
+    return total(&RankCounters::relayed_messages);
   }
-
   [[nodiscard]] std::int64_t total_relayed_bytes() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.relayed_bytes;
-    return n;
+    return total(&RankCounters::relayed_bytes);
   }
-
   [[nodiscard]] std::int64_t total_breaker_trips() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.breaker_trips;
-    return n;
-  }
-
-  /// True when the run saw *any* fault activity at all — including
-  /// faults that were fully recovered (retransmits, relays, dedup) and
-  /// so do not degrade the image. A superset of degraded(); the frame
-  /// pipeline uses it for epoch hygiene checks across frame
-  /// boundaries.
-  [[nodiscard]] bool has_faults() const {
-    for (const RankStats& r : ranks) {
-      if (r.crashed || r.lost_messages > 0 || r.lost_pixels > 0) return true;
-      if (r.retransmits > 0 || r.crc_failures > 0 || r.drops_detected > 0)
-        return true;
-      if (r.duplicates_discarded > 0 || r.delays_injected > 0) return true;
-      if (r.recomposes > 0 || r.membership_epoch > 0) return true;
-      if (r.relayed_messages > 0 || r.relay_through_messages > 0) return true;
-      if (r.breaker_trips > 0 || r.breaker_probes > 0) return true;
-      if (r.jitter_delays > 0 || r.stragglers_flagged > 0) return true;
-      if (r.hedged_sends > 0 || r.hedge_wins > 0) return true;
-      if (r.deadline_misses > 0 || r.stale_tiles > 0 || r.stale_pixels > 0)
-        return true;
-    }
-    return false;
+    return total(&RankCounters::breaker_trips);
   }
 
   // --- fail-slow aggregates (straggler/hedge/deadline layer) -------
 
   [[nodiscard]] std::int64_t total_jitter_delays() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.jitter_delays;
-    return n;
+    return total(&RankCounters::jitter_delays);
   }
-
   [[nodiscard]] std::int64_t total_stragglers_flagged() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.stragglers_flagged;
-    return n;
+    return total(&RankCounters::stragglers_flagged);
   }
-
   [[nodiscard]] std::int64_t total_hedged_sends() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.hedged_sends;
-    return n;
+    return total(&RankCounters::hedged_sends);
   }
-
   [[nodiscard]] std::int64_t total_hedged_bytes() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.hedged_bytes;
-    return n;
+    return total(&RankCounters::hedged_bytes);
   }
-
   [[nodiscard]] std::int64_t total_hedge_wins() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.hedge_wins;
-    return n;
+    return total(&RankCounters::hedge_wins);
   }
-
   [[nodiscard]] std::int64_t total_deadline_misses() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.deadline_misses;
-    return n;
+    return total(&RankCounters::deadline_misses);
   }
-
   [[nodiscard]] std::int64_t total_stale_tiles() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.stale_tiles;
-    return n;
+    return total(&RankCounters::stale_tiles);
   }
-
   [[nodiscard]] std::int64_t total_stale_pixels() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.stale_pixels;
-    return n;
+    return total(&RankCounters::stale_pixels);
   }
 
   // --- quality-ladder aggregates -----------------------------------
 
   [[nodiscard]] std::int64_t total_approx_skipped_pixels() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.approx_skipped_pixels;
-    return n;
+    return total(&RankCounters::approx_skipped_pixels);
   }
 
   /// True when the quality ladder left the exact rung this run.
@@ -376,21 +402,13 @@ struct RunStats {
   // --- temporal-coherence aggregates (frame pipeline) -------------
 
   [[nodiscard]] std::int64_t total_coherence_hits() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.coherence_hits;
-    return n;
+    return total(&RankCounters::coherence_hits);
   }
-
   [[nodiscard]] std::int64_t total_coherence_misses() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.coherence_misses;
-    return n;
+    return total(&RankCounters::coherence_misses);
   }
-
   [[nodiscard]] std::int64_t total_coherence_bytes_saved() const {
-    std::int64_t n = 0;
-    for (const RankStats& r : ranks) n += r.coherence_bytes_saved;
-    return n;
+    return total(&RankCounters::coherence_bytes_saved);
   }
 
   /// Fraction of coherence-cache lookups that hit (0 with no lookups).
@@ -401,76 +419,48 @@ struct RunStats {
                      : 0.0;
   }
 
-  /// Resets every rank's counters in place (frame-boundary hygiene for
-  /// accumulating callers); the rank count is preserved.
+  /// Resets to a fresh RunStats that keeps only the rank count
+  /// (frame-boundary hygiene for accumulating callers).
   void reset_counters() {
-    for (RankStats& r : ranks) r.reset_counters();
-    sessions.clear();
-    max_pixel_error = 0;
-    quality_rung = 0;
-    error_bound = 0;
-    coarse_pixels = 0;
+    const std::size_t p = ranks.size();
+    *this = RunStats{};
+    ranks.resize(p);
   }
 
   // --- render-service aggregates (empty sessions => all zero) ------
 
   [[nodiscard]] std::int64_t total_session_arrivals() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.arrivals;
-    return n;
+    return session_total(&SessionStats::arrivals);
   }
-
   [[nodiscard]] std::int64_t total_session_delivered() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.delivered;
-    return n;
+    return session_total(&SessionStats::delivered);
   }
-
   /// Requests dropped for any reason (cap shed, cap reject, expiry).
   [[nodiscard]] std::int64_t total_session_drops() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.dropped();
-    return n;
+    return total_session_sheds() + total_session_rejects() +
+           total_session_expiries();
   }
-
   [[nodiscard]] std::int64_t total_session_sheds() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.shed;
-    return n;
+    return session_total(&SessionStats::shed);
   }
-
   [[nodiscard]] std::int64_t total_session_rejects() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.rejected;
-    return n;
+    return session_total(&SessionStats::rejected);
   }
-
   [[nodiscard]] std::int64_t total_session_expiries() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.expired;
-    return n;
+    return session_total(&SessionStats::expired);
   }
-
   [[nodiscard]] std::int64_t total_batches_joined() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.batches_joined;
-    return n;
+    return session_total(&SessionStats::batches_joined);
   }
-
   /// Quality-class steps the admission layer took across sessions
   /// (degrade-before-shed); 0 whenever the ladder never engaged.
   [[nodiscard]] std::int64_t total_session_quality_degrades() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.quality_degrades;
-    return n;
+    return session_total(&SessionStats::quality_degrades);
   }
-
   /// Stale-substituted pixels delivered across sessions (deadline
   /// staleness plus kStale quality-class serves).
   [[nodiscard]] std::int64_t total_session_stale_pixels() const {
-    std::int64_t n = 0;
-    for (const SessionStats& s : sessions) n += s.stale_pixels;
-    return n;
+    return session_total(&SessionStats::stale_pixels);
   }
 
   /// Deepest quality rung any session's deliveries hit (as int).
@@ -504,6 +494,18 @@ struct RunStats {
       for (const auto& [mid, t] : r.marks)
         if (mid == id && t > m) m = t;
     return m;
+  }
+
+ private:
+  /// A rank crashed, a counter whose effect is `at_least` or worse is
+  /// nonzero on some rank, or a coarse pass went out unrefined.
+  [[nodiscard]] bool any_counter_at(CounterEffect at_least) const {
+    for (const RankStats& r : ranks) {
+      if (r.crashed) return true;
+      for (const CounterRow& row : kRankCounters)
+        if (row.effect >= at_least && r.*row.field != 0) return true;
+    }
+    return coarse_pixels > 0;
   }
 };
 

@@ -774,10 +774,6 @@ void Comm::send(int dst, int tag, std::vector<std::byte> payload) {
 
   stats_.messages_sent += 1;
   stats_.bytes_sent += bytes;
-  if (world_->record_events_) {
-    stats_.events.push_back(
-        Event{Event::Kind::kSend, issue, clock_, pdst, bytes});
-  }
   if (trace_.enabled()) {
     // The span covers the sender-CPU charge [issue, issue+Ts]; the wire
     // flight is pipelined and shows up as the receiver's recv-wait.
@@ -822,9 +818,6 @@ Comm::RecvOutcome Comm::recv_outcome(int src, int tag) {
       // Deterministic local evidence for the failure detector: this
       // rank now *knows* psrc is dead, independent of wall scheduling.
       observed_dead_.insert(psrc);
-      if (world_->record_events_ && clock_ > wait_from)
-        stats_.events.push_back(
-            Event{Event::Kind::kRecvWait, wait_from, clock_, psrc, 0});
       if (trace_.enabled()) {
         trace_.record(obs::Span{obs::SpanKind::kRecvWait, tag, psrc,
                                 /*bytes=*/0, /*aux=*/0, wait_from, clock_,
@@ -854,10 +847,6 @@ Comm::RecvOutcome Comm::recv_outcome(int src, int tag) {
     // last frame's content for the same schedule slot.
     const bool late = dl_on && e->available_at > dl;
     clock_ = std::max(clock_, late ? dl : e->available_at);
-    if (world_->record_events_ && clock_ > wait_from)
-      stats_.events.push_back(Event{
-          Event::Kind::kRecvWait, wait_from, clock_, psrc,
-          static_cast<std::int64_t>(e->frame.size())});
     if (trace_.enabled()) {
       const std::int64_t recovered = e->retransmits + e->drops;
       if (recovered > 0) {
@@ -958,10 +947,6 @@ void Comm::compute(double seconds) {
   // slow_factor_ is 1.0 outside fail-slow plans, and x * 1.0 == x for
   // every finite double, so healthy runs stay bit-identical.
   clock_ += seconds * slow_factor_;
-  if (world_->record_events_ && seconds > 0.0) {
-    stats_.events.push_back(
-        Event{Event::Kind::kCompute, from, clock_, -1, 0});
-  }
   if (trace_.enabled() && seconds > 0.0) {
     const std::int64_t w = obs::wall_now_ns();
     trace_.record(obs::Span{obs::SpanKind::kCompute, /*step=*/-1,
@@ -974,16 +959,12 @@ void Comm::charge_span(obs::SpanKind kind, int step, double seconds,
                        std::int64_t bytes, std::int64_t aux,
                        std::int64_t wall_begin_ns) {
   RTC_CHECK(seconds >= 0.0);
-  // Mirrors compute() exactly on the virtual clock, the fault schedule
-  // and the legacy Event timeline, so converting a compute() call site
-  // to charge_span() never perturbs a run's deterministic times.
+  // Mirrors compute() exactly on the virtual clock and the fault
+  // schedule, so converting a compute() call site to charge_span()
+  // never perturbs a run's deterministic times.
   maybe_crash(/*counting_send=*/false);
   const double from = clock_;
   clock_ += seconds * slow_factor_;
-  if (world_->record_events_ && seconds > 0.0) {
-    stats_.events.push_back(
-        Event{Event::Kind::kCompute, from, clock_, -1, 0});
-  }
   if (trace_.enabled()) {
     const std::int64_t w1 = obs::wall_now_ns();
     trace_.record(obs::Span{kind, step, /*peer=*/-1, bytes, aux, from,
@@ -1005,10 +986,6 @@ void Comm::charge_over(std::int64_t pixels) {
   stats_.pixels_composited += pixels;
   const double from = clock_;
   clock_ += world_->model().over_time(pixels) * slow_factor_;
-  if (world_->record_events_ && pixels > 0) {
-    stats_.events.push_back(
-        Event{Event::Kind::kOver, from, clock_, -1, pixels});
-  }
   if (trace_.enabled() && pixels > 0) {
     const std::int64_t w = obs::wall_now_ns();
     trace_.record(obs::Span{obs::SpanKind::kBlend, /*step=*/-1,

@@ -132,8 +132,8 @@ class Comm {
   /// interval as a span of `kind` attributed to compositor step
   /// `step` (e.g. codec encode/decode charges). `wall_begin_ns` lets
   /// the caller include the real work that preceded the charge; -1
-  /// stamps a zero-length wall interval. Virtual time and the legacy
-  /// Event timeline are identical to compute(seconds).
+  /// stamps a zero-length wall interval. Virtual time is identical to
+  /// compute(seconds).
   void charge_span(obs::SpanKind kind, int step, double seconds,
                    std::int64_t bytes = 0, std::int64_t aux = 0,
                    std::int64_t wall_begin_ns = -1);
@@ -320,10 +320,6 @@ class World {
     return policy_;
   }
 
-  /// Record per-rank virtual-time Event intervals into the RunStats
-  /// (for timeline export, e.g. harness::write_chrome_trace).
-  void set_record_events(bool on) { record_events_ = on; }
-
   /// Arm per-rank span tracing (obs layer) for the next run(): each
   /// rank gets a preallocated ring of cfg.capacity spans, drained into
   /// RankStats::spans after the rank threads join. With cfg.enabled
@@ -400,7 +396,6 @@ class World {
   double deadline_ = 0.0;  ///< per-frame virtual deadline (0: none)
   StaleStore* stale_ = nullptr;  ///< cross-frame staleness store (not owned)
   std::uint32_t seq_epoch_ = 0;
-  bool record_events_ = false;
   obs::TraceConfig trace_cfg_;
   ResiliencePolicy policy_;
   std::unique_ptr<FaultInjector> injector_;  ///< null: no faults

@@ -65,7 +65,6 @@ CompositionRun run_composition(const CompositionConfig& config,
 
   comm::World world(p, config.net);
   world.set_executor(config.executor);
-  world.set_record_events(config.record_events);
   world.set_trace(
       {config.record_spans, config.trace_capacity, config.frame_id});
   world.set_seq_epoch(config.seq_epoch);

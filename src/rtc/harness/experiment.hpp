@@ -44,7 +44,6 @@ struct CompositionConfig {
   std::string hier_inter = "bswap_any";
   bool aggregate_messages = false;  ///< one message per receiver/step
   img::BlendMode blend = img::BlendMode::kOver;
-  bool record_events = false;  ///< capture Event timeline into stats
   /// Arm the obs tracing layer: per-rank span rings drained into
   /// RunStats::spans (see docs/observability.md). Off by default; a
   /// traced run's virtual times are identical to an untraced one.

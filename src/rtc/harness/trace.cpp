@@ -1,60 +1,10 @@
 #include "rtc/harness/trace.hpp"
 
-#include <fstream>
 #include <vector>
 
-#include "rtc/common/check.hpp"
 #include "rtc/obs/trace_json.hpp"
 
 namespace rtc::harness {
-
-namespace {
-
-const char* kind_name(comm::Event::Kind k) {
-  switch (k) {
-    case comm::Event::Kind::kSend:
-      return "send";
-    case comm::Event::Kind::kRecvWait:
-      return "recv-wait";
-    case comm::Event::Kind::kCompute:
-      return "compute";
-    case comm::Event::Kind::kOver:
-      return "over";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void write_chrome_trace(const comm::RunStats& stats,
-                        const std::string& path) {
-  std::ofstream out(path);
-  RTC_CHECK_MSG(out.good(), "cannot open for write: " + path);
-  out << "[";
-  bool first = true;
-  for (std::size_t r = 0; r < stats.ranks.size(); ++r) {
-    for (const comm::Event& e : stats.ranks[r].events) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n{\"name\":\"" << kind_name(e.kind);
-      if (e.peer >= 0) out << (e.kind == comm::Event::Kind::kSend ? "->" : "<-") << e.peer;
-      out << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << r
-          << ",\"ts\":" << e.start * 1e6
-          << ",\"dur\":" << (e.end - e.start) * 1e6
-          << ",\"args\":{\"bytes\":" << e.bytes << "}}";
-    }
-    // Step marks as instant events.
-    for (const auto& [id, t] : stats.ranks[r].marks) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n{\"name\":\"step " << id
-          << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << r
-          << ",\"ts\":" << t * 1e6 << "}";
-    }
-  }
-  out << "\n]\n";
-  RTC_CHECK_MSG(out.good(), "short write: " + path);
-}
 
 void write_perfetto_trace(const comm::RunStats& stats,
                           const std::string& path) {

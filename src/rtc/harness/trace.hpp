@@ -1,10 +1,4 @@
-// Chrome-trace export of a composition run's virtual timeline.
-//
-// Enable event recording (CompositionConfig::record_events or
-// World::set_record_events), run, then write the stats here and load
-// the JSON in chrome://tracing / Perfetto: one track per rank, with
-// send-startup, receive-wait, over-composite and codec intervals in
-// virtual time (microseconds).
+// Trace export of a composition run's timeline.
 #pragma once
 
 #include <string>
@@ -13,15 +7,12 @@
 
 namespace rtc::harness {
 
-void write_chrome_trace(const comm::RunStats& stats,
-                        const std::string& path);
-
 /// Span-based export (obs layer): writes RunStats::spans — recorded via
 /// CompositionConfig::record_spans / World::set_trace — plus per-rank
 /// step marks as trace-event JSON that chrome://tracing and
-/// ui.perfetto.dev load directly. Richer than write_chrome_trace: spans
-/// carry step attribution, codec byte counts, fault recoveries, and
-/// wall-clock durations in args.
+/// ui.perfetto.dev load directly: one track per rank, with step
+/// attribution, codec byte counts, fault recoveries, and wall-clock
+/// durations in args.
 void write_perfetto_trace(const comm::RunStats& stats,
                           const std::string& path);
 

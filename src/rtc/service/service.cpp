@@ -25,65 +25,6 @@ obs::Span interval(obs::SpanKind kind, int frame, double begin, double end) {
   return s;
 }
 
-/// Folds one submission's per-rank counters into the service-wide
-/// accumulator, shifting virtual times onto the service timeline and
-/// stamping spans with the submission index. seq_first/seq_last are
-/// per-submission window bounds with no meaningful sum — left alone.
-void merge_rank(comm::RankStats& dst, const comm::RankStats& src,
-                double v_shift, int submission) {
-  dst.messages_sent += src.messages_sent;
-  dst.bytes_sent += src.bytes_sent;
-  dst.messages_received += src.messages_received;
-  dst.bytes_received += src.bytes_received;
-  dst.pixels_composited += src.pixels_composited;
-  dst.retransmits += src.retransmits;
-  dst.crc_failures += src.crc_failures;
-  dst.drops_detected += src.drops_detected;
-  dst.duplicates_discarded += src.duplicates_discarded;
-  dst.delays_injected += src.delays_injected;
-  dst.lost_messages += src.lost_messages;
-  dst.lost_pixels += src.lost_pixels;
-  dst.lost_blocks.insert(dst.lost_blocks.end(), src.lost_blocks.begin(),
-                         src.lost_blocks.end());
-  dst.recomposes += src.recomposes;
-  if (src.membership_epoch > dst.membership_epoch)
-    dst.membership_epoch = src.membership_epoch;
-  dst.relayed_messages += src.relayed_messages;
-  dst.relayed_bytes += src.relayed_bytes;
-  dst.relay_through_messages += src.relay_through_messages;
-  dst.relay_through_bytes += src.relay_through_bytes;
-  dst.breaker_trips += src.breaker_trips;
-  dst.breaker_probes += src.breaker_probes;
-  dst.jitter_delays += src.jitter_delays;
-  dst.stragglers_flagged += src.stragglers_flagged;
-  dst.hedged_sends += src.hedged_sends;
-  dst.hedged_bytes += src.hedged_bytes;
-  dst.hedge_wins += src.hedge_wins;
-  dst.deadline_misses += src.deadline_misses;
-  dst.stale_tiles += src.stale_tiles;
-  dst.stale_pixels += src.stale_pixels;
-  dst.approx_skipped_pixels += src.approx_skipped_pixels;
-  dst.coherence_hits += src.coherence_hits;
-  dst.coherence_misses += src.coherence_misses;
-  dst.coherence_bytes_saved += src.coherence_bytes_saved;
-  dst.crashed = dst.crashed || src.crashed;
-  if (v_shift + src.clock > dst.clock) dst.clock = v_shift + src.clock;
-  for (const auto& [id, t] : src.marks)
-    dst.marks.emplace_back(id, v_shift + t);
-  for (comm::Event e : src.events) {
-    e.start += v_shift;
-    e.end += v_shift;
-    dst.events.push_back(e);
-  }
-  for (obs::Span s : src.spans) {
-    s.v_begin += v_shift;
-    s.v_end += v_shift;
-    s.frame = submission;
-    dst.spans.push_back(s);
-  }
-  dst.spans_dropped += src.spans_dropped;
-}
-
 }  // namespace
 
 double ServiceResult::latency_mean() const {
@@ -327,9 +268,9 @@ ServiceResult run_service(const ServiceConfig& cfg) {
     // Fold the collective's counters onto the service timeline. The
     // composite occupies [composite_start, composite_end].
     for (int r = 0; r < ranks_eff; ++r)
-      merge_rank(out.stats.ranks[static_cast<std::size_t>(r)],
-                 run.stats.ranks[static_cast<std::size_t>(r)],
-                 sub.timing.composite_start, submission);
+      comm::fold_rank(out.stats.ranks[static_cast<std::size_t>(r)],
+                      run.stats.ranks[static_cast<std::size_t>(r)],
+                      sub.timing.composite_start, submission);
     if (run.stats.max_pixel_error > out.stats.max_pixel_error)
       out.stats.max_pixel_error = run.stats.max_pixel_error;
     if (run.stats.quality_rung > out.stats.quality_rung)
@@ -387,9 +328,6 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         sessions[static_cast<std::size_t>(r.session)].last_image = run.image;
     }
 
-    out.recomposes += run.stats.total_recomposes();
-    if (run.stats.max_membership_epoch() > out.max_epoch)
-      out.max_epoch = run.stats.max_membership_epoch();
     if (self_heal) {
       const std::vector<int> dead = run.stats.dead_ranks();
       if (!dead.empty()) {
@@ -465,10 +403,11 @@ void print_service(std::ostream& os, const ServiceConfig& cfg,
     for (const int s : degraded_sessions) os << " " << s;
     os << "\n";
   }
-  if (res.ranks_lost > 0 || res.recomposes > 0)
-    os << "recovery: " << res.ranks_lost << " rank(s) lost, "
-       << res.recomposes << " recomposition pass(es), membership epoch "
-       << res.max_epoch << "\n";
+  const std::int64_t recomposes = res.stats.total_recomposes();
+  if (res.ranks_lost > 0 || recomposes > 0)
+    os << "recovery: " << res.ranks_lost << " rank(s) lost, " << recomposes
+       << " recomposition pass(es), membership epoch "
+       << res.stats.max_membership_epoch() << "\n";
   // Quality-ladder report only when the ladder moved, so clean runs
   // keep the legacy format byte-for-byte.
   if (res.stats.quality_rung != 0 ||

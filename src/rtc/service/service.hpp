@@ -128,11 +128,9 @@ struct ServiceResult {
   std::vector<obs::Span> service_spans;
   double makespan = 0.0;
   double total_queue_wait = 0.0;  ///< scheduler backpressure, not queues
-  // Self-healing accounting (PeerLoss::kRecompose), as in
-  // frames::SequenceResult.
-  std::int64_t recomposes = 0;
+  /// Ranks permanently removed mid-run (PeerLoss::kRecompose); the
+  /// recomposition passes and membership epoch are in `stats`.
   int ranks_lost = 0;
-  std::uint32_t max_epoch = 0;
 
   [[nodiscard]] double latency_mean() const;
   /// p-th latency percentile (nearest-rank on the sorted latencies);

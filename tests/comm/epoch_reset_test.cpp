@@ -4,6 +4,8 @@
 // carries nothing from one frame into the next.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "rtc/comm/buffer_pool.hpp"
@@ -147,33 +149,78 @@ TEST(Stats, ResetAlsoClearsRecoveryCounters) {
   EXPECT_EQ(r.breaker_probes, 0);
 }
 
-TEST(Stats, HasFaultsSeesRecoveredActivityThatDegradedMisses) {
-  // has_faults() is the superset: fully-recovered activity (a relay, a
-  // recomposition, a dedup) never degrades the image but must still
-  // read as fault activity — and every trigger must die with
-  // reset_counters().
+TEST(Stats, EveryCounterRowDrivesPredicatesResetAndFold) {
+  // Each kRankCounters row, set alone on one rank of a fresh RunStats:
+  // its effect decides both predicates, so has_faults() ⊇ degraded()
+  // holds row by row; reset_counters() clears it; the fold adds it.
+  for (std::size_t i = 0; i < std::size(kRankCounters); ++i) {
+    SCOPED_TRACE("kRankCounters row " + std::to_string(i));
+    const CounterRow& row = kRankCounters[i];
+    RunStats s;
+    s.ranks.resize(2);
+    EXPECT_FALSE(s.has_faults());
+    s.ranks[1].*row.field = 3;
+    EXPECT_EQ(s.total(row.field), 3);
+    EXPECT_EQ(s.has_faults(), row.effect != CounterEffect::kNone);
+    EXPECT_EQ(s.degraded(), row.effect == CounterEffect::kDegrades);
+
+    RankStats acc;
+    fold_rank(acc, s.ranks[1], 0.0, 0);
+    fold_rank(acc, s.ranks[1], 0.0, 1);
+    EXPECT_EQ(acc.*row.field, 6);
+
+    s.reset_counters();
+    ASSERT_EQ(s.ranks.size(), 2u);
+    EXPECT_EQ(s.total(row.field), 0);
+    EXPECT_FALSE(s.has_faults());
+  }
+}
+
+TEST(Stats, CrashEpochAndCoarsePixelsOutsideTheTable) {
   RunStats s;
   s.ranks.resize(2);
-  EXPECT_FALSE(s.has_faults());
-  const auto trip = [&s](auto&& set) {
-    set(s.ranks[1]);
-    EXPECT_TRUE(s.has_faults());
-    EXPECT_FALSE(s.degraded());  // recovered activity: image is exact
-    s.reset_counters();
-    EXPECT_FALSE(s.has_faults());
-  };
-  trip([](RankStats& r) { r.retransmits = 1; });
-  trip([](RankStats& r) { r.duplicates_discarded = 1; });
-  trip([](RankStats& r) { r.recomposes = 1; });
-  trip([](RankStats& r) { r.membership_epoch = 1; });
-  trip([](RankStats& r) { r.relayed_messages = 1; });
-  trip([](RankStats& r) { r.relay_through_messages = 1; });
-  trip([](RankStats& r) { r.breaker_trips = 1; });
-  trip([](RankStats& r) { r.breaker_probes = 1; });
-  // Degrading faults are of course also fault activity.
-  s.ranks[0].crashed = true;
+  s.ranks[1].crashed = true;
   EXPECT_TRUE(s.has_faults());
   EXPECT_TRUE(s.degraded());
+  s.reset_counters();
+  EXPECT_FALSE(s.has_faults());
+
+  // A membership change is recovered activity: the image stays exact.
+  s.ranks[1].membership_epoch = 1;
+  EXPECT_TRUE(s.has_faults());
+  EXPECT_FALSE(s.degraded());
+  s.reset_counters();
+  EXPECT_FALSE(s.has_faults());
+
+  // An unrefined coarse pass degrades the image, so it is a fault too.
+  s.coarse_pixels = 64;
+  EXPECT_TRUE(s.has_faults());
+  EXPECT_TRUE(s.degraded());
+  s.reset_counters();
+  EXPECT_FALSE(s.has_faults());
+  EXPECT_EQ(s.coarse_pixels, 0);
+
+  // The fold ORs crashed, keeps the highest epoch, and shifts times.
+  RankStats a;
+  a.membership_epoch = 2;
+  a.clock = 1.0;
+  RankStats b;
+  b.crashed = true;
+  b.membership_epoch = 1;
+  b.clock = 0.5;
+  b.marks.emplace_back(1, 0.25);
+  b.spans.push_back(obs::Span{});
+  b.spans.back().v_end = 0.5;
+  fold_rank(a, b, 2.0, 7);
+  EXPECT_TRUE(a.crashed);
+  EXPECT_EQ(a.membership_epoch, 2u);
+  EXPECT_EQ(a.clock, 2.5);
+  ASSERT_EQ(a.marks.size(), 1u);
+  EXPECT_EQ(a.marks[0].second, 2.25);
+  ASSERT_EQ(a.spans.size(), 1u);
+  EXPECT_EQ(a.spans[0].v_begin, 2.0);
+  EXPECT_EQ(a.spans[0].v_end, 2.5);
+  EXPECT_EQ(a.spans[0].frame, 7);
 }
 
 TEST(Stats, CrashSpanningAFrameBoundaryDoesNotLeakThroughReset) {

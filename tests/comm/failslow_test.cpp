@@ -173,7 +173,7 @@ TEST(FailSlow, HealthyDeliveriesClearTheStragglerFlag) {
     if (c.rank() == 0) {
       for (int i = 0; i < 4; ++i) c.send(1, 7, bytes_of("x"));
     } else if (c.rank() == 1) {
-      for (int i = 0; i < 4; ++i) c.recv(0, 7);
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(c.recv(0, 7), bytes_of("x"));
     }
   });
   EXPECT_EQ(rr.stats.ranks[0].stragglers_flagged, 0);

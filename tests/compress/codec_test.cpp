@@ -62,7 +62,7 @@ TEST_P(CodecRoundTrip, DecodeBlendMatchesDecodeThenBlend) {
   std::vector<img::GrayA8> decoded(static_cast<std::size_t>(len));
   codec->decode(bytes, decoded, geom);
 
-  for (const auto [mode, front] :
+  for (const auto& [mode, front] :
        {std::pair{img::BlendMode::kOver, true},
         std::pair{img::BlendMode::kOver, false},
         std::pair{img::BlendMode::kMax, false}}) {

@@ -95,6 +95,24 @@ TEST(Obs, SpansAreWellFormedAndOrdered) {
   }
 }
 
+TEST(Obs, SpanTimeBudgetFitsTheClock) {
+  // A rank's spans cover disjoint stretches of its virtual clock, so
+  // their durations never add up to more than its final clock.
+  for (const char* method :
+       {"rt_2n", "bswap", "pp", "radix", "direct", "hier"}) {
+    harness::CompositionConfig cfg = traced_config();
+    cfg.method = method;
+    const harness::CompositionRun run =
+        harness::run_composition(cfg, test_partials(4));
+    for (const comm::RankStats& r : run.stats.ranks) {
+      double busy = 0.0;
+      for (const obs::Span& s : r.spans) busy += s.v_end - s.v_begin;
+      EXPECT_GT(busy, 0.0) << method;
+      EXPECT_LE(busy, r.clock + 1e-9) << method;
+    }
+  }
+}
+
 TEST(Obs, SpanContentIsDeterministicAcrossRuns) {
   const std::vector<img::Image> partials = test_partials(4);
   const harness::CompositionRun a =

@@ -213,8 +213,8 @@ TEST(SimdCodec, TrleEncodeBytesIdenticalAcrossLevels) {
   const auto codec = compress::make_codec("trle");
   for (int w : {31, 32, 64, 97}) {
     for (int cls = 0; cls < kPixelClasses; ++cls) {
-      const auto px = make_pixels(cls, static_cast<std::size_t>(w) * w,
-                                  77u * u32(cls));
+      const auto side = static_cast<std::size_t>(w);
+      const auto px = make_pixels(cls, side * side, 77u * u32(cls));
       // Span starting mid-image exercises the boundary-row-pair path.
       for (std::int64_t begin : {std::int64_t{0}, std::int64_t{w + 3}}) {
         const compress::BlockGeometry geom{w, begin};
@@ -239,7 +239,8 @@ TEST(SimdCodec, TrleDecodeBlendImageIdenticalAcrossLevels) {
   const auto codec = compress::make_codec("trle");
   for (int w : {31, 32, 97}) {
     for (int cls = 0; cls < kPixelClasses; ++cls) {
-      const std::size_t n = static_cast<std::size_t>(w) * w;
+      const std::size_t n =
+          static_cast<std::size_t>(w) * static_cast<std::size_t>(w);
       const auto px = make_pixels(cls, n, 3u * u32(cls) + 1);
       const auto dst0 = make_pixels((cls + 3) % kPixelClasses, n, 9u);
       const compress::BlockGeometry geom{w, 0};

@@ -9,7 +9,6 @@
 //                   [--simd auto|scalar|sse2|avx2] [--blend-threads N]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //                   [--group-size G] [--hier-intra M] [--hier-inter M]
-//                   [--trace timeline.json]
 //                   [--trace-out trace.json] [--metrics-out metrics.txt]
 //                   [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
 //                   [--fault-dup P] [--fault-delay P]
@@ -45,7 +44,9 @@
 //
 // Flags take `--key value` or `--key=value` form. Malformed numeric
 // values are a usage error naming the flag — never an unhandled
-// std::stoi throw.
+// std::stoi throw. So is a flag the command never reads in the mode
+// the other flags select (a typo such as --rnaks, or --sessions
+// without --service): it is rejected before any rendering starts.
 //
 // Exit codes: 0 ok, 2 usage error.
 #include <climits>
@@ -56,7 +57,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "rtc/common/flags.hpp"
 #include "rtc/image/ops.hpp"
@@ -78,9 +81,11 @@ class Args {
       }
       key = key.substr(2);
       if (const std::size_t eq = key.find('='); eq != std::string::npos) {
-        kv_[key.substr(0, eq)] = key.substr(eq + 1);
+        order_.push_back(key.substr(0, eq));
+        kv_[order_.back()] = key.substr(eq + 1);
         continue;
       }
+      order_.push_back(key);
       if (key == "mip" || key == "no-coherence" || key == "relay" ||
           key == "hedge" || key == "service" ||
           key == "degrade-before-shed") {
@@ -97,11 +102,11 @@ class Args {
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
-    const auto it = kv_.find(key);
+    const auto it = find(key);
     return it == kv_.end() ? fallback : it->second;
   }
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
-    const auto it = kv_.find(key);
+    const auto it = find(key);
     if (it == kv_.end()) return fallback;
     const auto v = flags::parse_int(it->second);
     if (!v || *v < INT_MIN || *v > INT_MAX) {
@@ -113,7 +118,7 @@ class Args {
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
-    const auto it = kv_.find(key);
+    const auto it = find(key);
     if (it == kv_.end()) return fallback;
     const auto v = flags::parse_double(it->second);
     if (!v) {
@@ -124,14 +129,35 @@ class Args {
     return *v;
   }
   [[nodiscard]] bool has(const std::string& key) const {
-    return kv_.count(key) != 0;
+    return find(key) != kv_.end();
+  }
+
+  /// Exits 2 naming the first flag, in command-line order, that no
+  /// get/has call has asked for: a command calls this once it has read
+  /// every flag its mode uses, before doing any work.
+  void require_all_read() const {
+    for (const std::string& key : order_) {
+      if (read_.count(key) == 0) {
+        std::cerr << "unknown or inapplicable flag: --" << key << "\n";
+        std::exit(2);
+      }
+    }
   }
 
  private:
+  [[nodiscard]] std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return kv_.find(key);
+  }
+
   std::map<std::string, std::string> kv_;
+  std::vector<std::string> order_;      ///< keys as given on the line
+  mutable std::set<std::string> read_;  ///< keys some get/has asked for
 };
 
-int cmd_info() {
+int cmd_info(const Args& a) {
+  a.require_all_read();
   std::cout << "rtcomp — rotate-tiling image composition "
                "(reproduction of Lin/Yang/Chung, IPPS 2001)\n\n";
   std::cout << "composition methods:";
@@ -426,6 +452,8 @@ int cmd_render_service(const Args& a) {
   sc.comp.method = a.get("method", "rt_n");
   sc.comp.initial_blocks = a.get_int("blocks", 3);
   sc.comp.codec = a.get("codec", "");
+  const std::string trace_out = a.get("trace-out", "");
+  const std::string metrics_out = a.get("metrics-out", "");
   sc.comp.record_spans = a.has("trace-out") || a.has("metrics-out");
   if (a.get("net", "sp2-hps") == "paper-example")
     sc.comp.net = comm::paper_example_model();
@@ -437,6 +465,7 @@ int cmd_render_service(const Args& a) {
                  "--quality approx|progressive|stale|blank\n";
     return 2;
   }
+  a.require_all_read();
 
   const service::ServiceResult res = service::run_service(sc);
   std::cout << "render service over '" << sc.dataset << "', " << sc.ranks
@@ -460,12 +489,12 @@ int cmd_render_service(const Args& a) {
     comm::RankStats service_track;
     service_track.spans = res.service_spans;
     traced.ranks.push_back(std::move(service_track));
-    harness::write_perfetto_trace(traced, a.get("trace-out", ""));
-    std::cout << "wrote " << a.get("trace-out", "") << "\n";
+    harness::write_perfetto_trace(traced, trace_out);
+    std::cout << "wrote " << trace_out << "\n";
   }
   if (a.has("metrics-out")) {
-    harness::write_metrics_file(res.stats, a.get("metrics-out", ""));
-    std::cout << "wrote " << a.get("metrics-out", "") << "\n";
+    harness::write_metrics_file(res.stats, metrics_out);
+    std::cout << "wrote " << metrics_out << "\n";
   }
   return 0;
 }
@@ -500,14 +529,15 @@ int cmd_render_frames(const Args& a) {
     return 2;
   }
   pc.deadline = pc.comp.deadline;
+  const std::string stream_path = a.get("stream", "");
+  a.require_all_read();
 
   std::ofstream stream;
   std::unique_ptr<frames::PgmStreamSink> sink;
   if (a.has("stream")) {
-    stream.open(a.get("stream", ""), std::ios::binary);
+    stream.open(stream_path, std::ios::binary);
     if (!stream) {
-      std::cerr << "cannot open --stream file: " << a.get("stream", "")
-                << "\n";
+      std::cerr << "cannot open --stream file: " << stream_path << "\n";
       return 2;
     }
     sink = std::make_unique<frames::PgmStreamSink>(stream);
@@ -529,8 +559,8 @@ int cmd_render_frames(const Args& a) {
                          .run.stats)
               << "\n";
   if (sink != nullptr)
-    std::cout << "wrote " << a.get("stream", "") << " ("
-              << sink->frames_written() << " PGM frames)\n";
+    std::cout << "wrote " << stream_path << " (" << sink->frames_written()
+              << " PGM frames)\n";
   return 0;
 }
 
@@ -544,10 +574,44 @@ int cmd_render(const Args& a) {
   const std::string renderer = a.get("renderer", "shearwarp");
   const std::string partition = a.get("partition", "slab");
   const bool mip = a.has("mip");
+  const int volume_n = a.get_int("volume", 96);
+  const int image_size = a.get_int("image", 512);
+  const double yaw = a.get_double("yaw", 30.0);
+  const double pitch = a.get_double("pitch", 20.0);
+  const std::string out = a.get("out", "");
+  const std::string trace_out = a.get("trace-out", "");
+  const std::string metrics_out = a.get("metrics-out", "");
 
-  harness::Scene scene = harness::make_scene(
-      dataset, a.get_int("volume", 96), a.get_int("image", 512),
-      a.get_double("yaw", 30.0), a.get_double("pitch", 20.0));
+  harness::CompositionConfig cfg;
+  cfg.method = method;
+  cfg.initial_blocks = blocks;
+  cfg.codec = a.get("codec", "");
+  cfg.blend = mip ? img::BlendMode::kMax : img::BlendMode::kOver;
+  cfg.gather = true;
+  cfg.record_spans = a.has("trace-out") || a.has("metrics-out");
+  if (a.get("net", "sp2-hps") == "paper-example")
+    cfg.net = comm::paper_example_model();
+
+  if (const int rc = parse_scaling_flags(a, cfg); rc != 0) return rc;
+  if (const int rc = parse_fault_flags(a, cfg); rc != 0) return rc;
+  if (const int rc = parse_quality_flags(a, cfg); rc != 0) return rc;
+  if (cfg.quality.max_rung >= quality::Rung::kStale) {
+    std::cerr << "--quality " << quality::rung_name(cfg.quality.max_rung)
+              << " needs --frames or --service (stale and blank are "
+                 "frame-level rungs)\n";
+    return 2;
+  }
+  if (cfg.quality.degrade_before_shed) {
+    std::cerr << "--degrade-before-shed needs --service\n";
+    return 2;
+  }
+  // Single shot has no pressure history: execute the requested rung
+  // directly (the error contract may still demote it toward exact).
+  cfg.quality_rung = cfg.quality.max_rung;
+  a.require_all_read();
+
+  harness::Scene scene =
+      harness::make_scene(dataset, volume_n, image_size, yaw, pitch);
 
   // Partition + render (by hand so renderer/mode are selectable).
   const render::Vec3 d = scene.camera.direction();
@@ -581,34 +645,6 @@ int cmd_render(const Args& a) {
     }
   }
 
-  harness::CompositionConfig cfg;
-  cfg.method = method;
-  cfg.initial_blocks = blocks;
-  cfg.codec = a.get("codec", "");
-  cfg.blend = mip ? img::BlendMode::kMax : img::BlendMode::kOver;
-  cfg.gather = true;
-  cfg.record_events = a.has("trace");
-  cfg.record_spans = a.has("trace-out") || a.has("metrics-out");
-  if (a.get("net", "sp2-hps") == "paper-example")
-    cfg.net = comm::paper_example_model();
-
-  if (const int rc = parse_scaling_flags(a, cfg); rc != 0) return rc;
-  if (const int rc = parse_fault_flags(a, cfg); rc != 0) return rc;
-  if (const int rc = parse_quality_flags(a, cfg); rc != 0) return rc;
-  if (cfg.quality.max_rung >= quality::Rung::kStale) {
-    std::cerr << "--quality " << quality::rung_name(cfg.quality.max_rung)
-              << " needs --frames or --service (stale and blank are "
-                 "frame-level rungs)\n";
-    return 2;
-  }
-  if (cfg.quality.degrade_before_shed) {
-    std::cerr << "--degrade-before-shed needs --service\n";
-    return 2;
-  }
-  // Single shot has no pressure history: execute the requested rung
-  // directly (the error contract may still demote it toward exact).
-  cfg.quality_rung = cfg.quality.max_rung;
-
   const harness::CompositionRun run =
       harness::run_composition(cfg, partials);
 
@@ -640,22 +676,17 @@ int cmd_render(const Args& a) {
                 << " s (virtual)\n";
   }
 
-  const std::string out = a.get("out", "");
   if (!out.empty()) {
     img::write_pgm(run.image, out);
     std::cout << "wrote " << out << "\n";
   }
-  if (a.has("trace")) {
-    harness::write_chrome_trace(run.stats, a.get("trace", ""));
-    std::cout << "wrote " << a.get("trace", "") << "\n";
-  }
   if (a.has("trace-out")) {
-    harness::write_perfetto_trace(run.stats, a.get("trace-out", ""));
-    std::cout << "wrote " << a.get("trace-out", "") << "\n";
+    harness::write_perfetto_trace(run.stats, trace_out);
+    std::cout << "wrote " << trace_out << "\n";
   }
   if (a.has("metrics-out")) {
-    harness::write_metrics_file(run.stats, a.get("metrics-out", ""));
-    std::cout << "wrote " << a.get("metrics-out", "") << "\n";
+    harness::write_metrics_file(run.stats, metrics_out);
+    std::cout << "wrote " << metrics_out << "\n";
   }
   return 0;
 }
@@ -664,6 +695,7 @@ int cmd_schedule(const Args& a) {
   const int ranks = a.get_int("ranks", 3);
   const int blocks = a.get_int("blocks", 4);
   const std::string variant = a.get("variant", "any");
+  a.require_all_read();
   core::RtVariant v = core::RtVariant::kGeneralized;
   if (variant == "n") {
     v = core::RtVariant::kNrt;
@@ -706,6 +738,7 @@ int cmd_predict(const Args& a) {
   net.to_pixel = a.get_double("to", net.to_pixel);
   const auto pixels =
       static_cast<std::int64_t>(a.get_int("pixels", 512 * 512));
+  a.require_all_read();
 
   const core::Schedule s = core::build_rt_schedule(
       ranks, blocks, core::RtVariant::kGeneralized);
@@ -734,7 +767,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args(argc, argv, 2);
   try {
-    if (cmd == "info") return cmd_info();
+    if (cmd == "info") return cmd_info(args);
     if (cmd == "render") return cmd_render(args);
     if (cmd == "schedule") return cmd_schedule(args);
     if (cmd == "predict") return cmd_predict(args);
