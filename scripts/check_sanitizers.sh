@@ -8,7 +8,10 @@
 # the SIMD kernel/codec suites: vector loads with scalar tails are
 # exactly where an off-by-one reads past a span. The quality-ladder
 # suite runs in every mode: the approximate blend's skip loop and the
-# progressive down/upsample resamplers index pixel spans directly.
+# progressive down/upsample resamplers index pixel spans directly. The
+# address and undefined modes also run the renderer suite, whose
+# shear-warp loops index the intermediate image and clip the warp to
+# the brick's screen box.
 #
 # Usage: scripts/check_sanitizers.sh [thread|address|undefined|all]
 # (default: all). $BUILD_DIR overrides the build-directory prefix
@@ -20,8 +23,8 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
 THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test"
-MEMORY_TESTS="$THREAD_TESTS|simd_kernels_test|simd_dispatch_test|ops_test|codec_test|trle_test"
-MEMORY_TARGETS="simd_kernels_test simd_dispatch_test ops_test codec_test trle_test"
+MEMORY_TESTS="$THREAD_TESTS|simd_kernels_test|simd_dispatch_test|ops_test|codec_test|trle_test|render_test"
+MEMORY_TARGETS="simd_kernels_test simd_dispatch_test ops_test codec_test trle_test render_test"
 
 run_mode() {
   local san="$1"

@@ -18,6 +18,10 @@ namespace rtc::frames {
 
 harness::RenderedScene render_view(const ViewSpec& view, int ranks,
                                    int& axis_out) {
+  RTC_CHECK_MSG(view.renderer == "shearwarp" || view.renderer == "raycast" ||
+                    view.renderer == "splat",
+                "unknown renderer '" + view.renderer +
+                    "' (expected shearwarp, raycast or splat)");
   const harness::Scene scene =
       harness::make_scene(view.dataset, view.volume_n, view.image_size,
                           view.yaw_deg, view.pitch_deg);

@@ -47,7 +47,8 @@ struct ViewSpec {
 /// principal axis can change as the camera moves), then render each
 /// rank's brick in visibility order. `ranks` is the *effective* rank
 /// count — under kRecompose a dead rank's slab is re-absorbed by
-/// balanced_slab_1d so later views stay full-quality.
+/// balanced_slab_1d so later views stay full-quality. An unknown
+/// `view.renderer` throws ContractError before any work.
 [[nodiscard]] harness::RenderedScene render_view(const ViewSpec& view,
                                                  int ranks, int& axis_out);
 

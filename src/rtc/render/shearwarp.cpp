@@ -14,8 +14,16 @@
 // (u, v) -> screen is affine because the k-dependence cancels:
 // screen(e_c - s_u e_a - s_v e_b) = screen(d / d_c) = 0 for an
 // orthographic projection along d (a property test pins this).
+//
+// The warp visits only the screen box of the texels the composite loop
+// touched (grown by the bilinear taps' one-texel reach): every pixel
+// outside it reads four transparent taps and quantizes to the blank
+// {0, 0} the output image starts with, so the partial is byte-identical
+// to warping the whole image at a cost that scales with the brick's
+// footprint.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "rtc/common/check.hpp"
@@ -96,6 +104,8 @@ img::Image render_shearwarp(const vol::Volume& v,
   const bool forward = dc > 0.0;
 
   // --- Shear & composite: slices front to back into the intermediate.
+  // [tu0, tu1) x [tv0, tv1) bounds the texels the loop touches.
+  int tu0 = wu, tu1 = 0, tv0 = hv, tv1 = 0;
   std::vector<std::pair<int, int>> spans;
   for (int step = 0; step < c1 - c0; ++step) {
     const int k = forward ? c0 + step : c1 - 1 - step;
@@ -126,6 +136,10 @@ img::Image render_shearwarp(const vol::Volume& v,
       img::GrayAF* row = acc.data() + static_cast<std::size_t>(vi) *
                                           static_cast<std::size_t>(wu);
       for (const auto& [ub, ue] : spans) {
+        tu0 = std::min(tu0, ub);
+        tu1 = std::max(tu1, ue);
+        tv0 = std::min(tv0, vi);
+        tv1 = std::max(tv1, vi + 1);
         for (int ui = ub; ui < ue; ++ui) {
           img::GrayAF& pix = row[ui];
           const double i_real = ui - shift_u;
@@ -156,8 +170,35 @@ img::Image render_shearwarp(const vol::Volume& v,
   RTC_CHECK_MSG(std::abs(det) > 1e-12, "degenerate warp");
 
   img::Image out(cam.width, cam.height);
-  for (int iy = 0; iy < cam.height; ++iy) {
-    for (int ix = 0; ix < cam.width; ++ix) {
+  if (tu0 >= tu1) return out;
+
+  // A pixel can read a touched texel only if its (uu, vv) lies in
+  // [tu0 - 1, tu1] x [tv0 - 1, tv1]. Map that rectangle's corners
+  // forward to pixel indices, widen the box by a pixel against
+  // rounding, and clamp it to the image before converting to int.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double x_lo = kInf, x_hi = -kInf, y_lo = kInf, y_hi = -kInf;
+  for (const double du : {tu0 - 1.0 - offu, tu1 - offu}) {
+    for (const double dv : {tv0 - 1.0 - offv, tv1 - offv}) {
+      const double x = origin[0] - 0.5 + su_col.x * du + sv_col.x * dv;
+      const double y = origin[1] - 0.5 + su_col.y * du + sv_col.y * dv;
+      x_lo = std::min(x_lo, x);
+      x_hi = std::max(x_hi, x);
+      y_lo = std::min(y_lo, y);
+      y_hi = std::max(y_hi, y);
+    }
+  }
+  auto first = [](double lo, double n) {
+    return static_cast<int>(std::clamp(std::floor(lo) - 1.0, 0.0, n));
+  };
+  auto last = [](double hi, double n) {
+    return static_cast<int>(std::clamp(std::ceil(hi) + 1.0, -1.0, n - 1.0));
+  };
+  const int ix0 = first(x_lo, cam.width), ix1 = last(x_hi, cam.width);
+  const int iy0 = first(y_lo, cam.height), iy1 = last(y_hi, cam.height);
+
+  for (int iy = iy0; iy <= iy1; ++iy) {
+    for (int ix = ix0; ix <= ix1; ++ix) {
       const double rx = ix + 0.5 - origin[0];
       const double ry = iy + 0.5 - origin[1];
       const double uu = (sv_col.y * rx - sv_col.x * ry) / det + offu;

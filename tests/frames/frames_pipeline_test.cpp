@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "rtc/common/check.hpp"
 #include "rtc/frames/pipeline.hpp"
 #include "rtc/frames/tile_sink.hpp"
 #include "rtc/image/ops.hpp"
@@ -289,6 +290,19 @@ TEST(FramePipeline, SelfHealingIsDeterministic) {
               0);
   EXPECT_EQ(a.recomposes, b.recomposes);
   EXPECT_EQ(a.max_epoch, b.max_epoch);
+}
+
+TEST(FramePipeline, UnknownRendererIsAContractError) {
+  ViewSpec view;
+  view.volume_n = 16;
+  view.image_size = 32;
+  int axis = -1;
+  for (const char* name : {"shearwarp", "raycast", "splat"}) {
+    view.renderer = name;
+    EXPECT_EQ(render_view(view, 2, axis).partials.size(), 2u) << name;
+  }
+  view.renderer = "bogus";
+  EXPECT_THROW(static_cast<void>(render_view(view, 2, axis)), ContractError);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Renderer correctness: camera geometry, RLE classification, the
-// shear-warp factorization identity, and shear-warp vs ray-cast
-// agreement.
+// shear-warp factorization identity, shear-warp vs ray-cast agreement,
+// and the pinned bytes of shear-warp partials.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "rtc/image/ops.hpp"
+#include "rtc/partition/partition.hpp"
 #include "rtc/render/renderer.hpp"
 #include "rtc/render/rle_volume.hpp"
 #include "rtc/volume/phantom.hpp"
@@ -209,6 +213,75 @@ TEST(Renderers, SlabPartialsCompositeToFullImage) {
   const img::Image merged = img::composite_reference(partials);
   EXPECT_LT(mean_abs_diff(merged, full), 1.0);
   EXPECT_LE(img::max_channel_diff(merged, full), 16);
+}
+
+/// One FNV-1a step.
+std::uint64_t fnv1a(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * 1099511628211ull;
+}
+
+TEST(ShearWarp, PartialBytesArePinned) {
+  // Every partial the shear-warp renderer produced when these constants
+  // were recorded, folded into one FNV-1a hash per (dataset, mode):
+  // any change to a single output byte moves the hash. The views put
+  // the principal axis on +z, +x, -z, -x, +y and -y; the large scale
+  // makes the image border clip the brick footprints; one camera is
+  // square and one odd-sized and non-square; the bricks are slab,
+  // grid and balanced partitions plus one brick with no solid voxel.
+  struct Pin {
+    const char* dataset;
+    RenderMode mode;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"engine", RenderMode::kComposite, 0x2504c3d052d7cdefull},
+      {"engine", RenderMode::kMip, 0x1c3365a915390125ull},
+      {"brain", RenderMode::kComposite, 0xc25a6c38fdea3ebaull},
+      {"brain", RenderMode::kMip, 0x86683093845cf750ull},
+      {"head", RenderMode::kComposite, 0xdd1a5addf38b4fdaull},
+      {"head", RenderMode::kMip, 0xa1020584a27ca5f9ull},
+  };
+  const std::pair<double, double> views[] = {
+      {0.0, 0.0},    {20.0, 10.0}, {90.0, 15.0},   {180.0, -25.0},
+      {270.0, 30.0}, {45.0, 60.0}, {200.0, -65.0}, {300.0, -10.0}};
+  const std::pair<int, int> sizes[] = {{40, 40}, {53, 37}};
+  const int n = 20;
+  const vol::Brick empty_brick{0, 2, 0, 2, 0, n};
+  for (const Pin& pin : pins) {
+    const vol::Volume v = vol::make_phantom(pin.dataset, n);
+    const vol::TransferFunction tf = vol::phantom_transfer(pin.dataset);
+    ASSERT_EQ(part::solid_voxels(v, tf, empty_brick), 0) << pin.dataset;
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+    int seen_axes = 0;
+    for (const auto& [yaw, pitch] : views) {
+      for (const double scale : {1.3, 4.0}) {
+        for (const auto& [width, height] : sizes) {
+          OrthoCamera cam =
+              centered_camera(n, n, n, yaw, pitch, width, scale);
+          cam.height = height;
+          const Vec3 d = cam.direction();
+          const int c = principal_axis(d);
+          seen_axes |= 1 << (2 * c + (d[c] < 0 ? 1 : 0));
+          std::vector<vol::Brick> bricks = part::slab_1d(v.bounds(), 3, c);
+          for (const vol::Brick& b :
+               part::grid_2d(v.bounds(), 4, (c + 1) % 3, (c + 2) % 3))
+            bricks.push_back(b);
+          for (const vol::Brick& b : part::balanced_slab_1d(v, tf, 5, c))
+            bricks.push_back(b);
+          bricks.push_back(empty_brick);
+          for (const vol::Brick& b : bricks) {
+            const img::Image im = render_shearwarp(v, tf, b, cam, pin.mode);
+            for (const img::GrayA8 p : im.pixels())
+              h = fnv1a(fnv1a(h, p.v), p.a);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(seen_axes, 0x3f) << "views miss a principal direction";
+    EXPECT_EQ(h, pin.hash) << pin.dataset << " mode "
+                           << static_cast<int>(pin.mode) << ": 0x"
+                           << std::hex << h;
+  }
 }
 
 }  // namespace

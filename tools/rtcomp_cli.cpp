@@ -5,6 +5,7 @@
 //                   [--codec trle] [--image 512] [--volume 96]
 //                   [--renderer shearwarp|raycast|splat] [--mip]
 //                   [--partition slab|grid|balanced] [--out out.pgm]
+//                   [--net sp2-hps|paper-example]
 //                   [--executor pooled|threaded] [--workers N]
 //                   [--simd auto|scalar|sse2|avx2] [--blend-threads N]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
@@ -54,6 +55,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -131,6 +133,24 @@ class Args {
   [[nodiscard]] bool has(const std::string& key) const {
     return find(key) != kv_.end();
   }
+  /// A flag whose value must be one of `accepted`; the first is the
+  /// default. Any other value exits 2 naming the flag and the choices.
+  [[nodiscard]] std::string get_choice(
+      const std::string& key,
+      std::initializer_list<const char*> accepted) const {
+    const std::string value = get(key, *accepted.begin());
+    for (const char* name : accepted)
+      if (value == name) return value;
+    std::cerr << "unknown --" << key << ": " << value << " (expected ";
+    std::size_t i = 0;
+    for (const char* name : accepted) {
+      if (i > 0) std::cerr << (i + 1 == accepted.size() ? " or " : ", ");
+      std::cerr << name;
+      ++i;
+    }
+    std::cerr << ")\n";
+    std::exit(2);
+  }
 
   /// Exits 2 naming the first flag, in command-line order, that no
   /// get/has call has asked for: a command calls this once it has read
@@ -155,6 +175,12 @@ class Args {
   std::vector<std::string> order_;      ///< keys as given on the line
   mutable std::set<std::string> read_;  ///< keys some get/has asked for
 };
+
+/// Accepted --renderer and --net values; the first is the default.
+constexpr std::initializer_list<const char*> kRenderers = {
+    "shearwarp", "raycast", "splat"};
+constexpr std::initializer_list<const char*> kNets = {"sp2-hps",
+                                                      "paper-example"};
 
 int cmd_info(const Args& a) {
   a.require_all_read();
@@ -326,11 +352,8 @@ int parse_fault_flags(const Args& a, harness::CompositionConfig& cfg) {
     std::cerr << "bad --deadline (want seconds >= 0)\n";
     return 2;
   }
-  const std::string on_loss = a.get("on-peer-loss", "blank");
-  if (on_loss != "blank" && on_loss != "throw" && on_loss != "recompose") {
-    std::cerr << "unknown --on-peer-loss: " << on_loss << "\n";
-    return 2;
-  }
+  const std::string on_loss =
+      a.get_choice("on-peer-loss", {"blank", "throw", "recompose"});
   cfg.resilience.on_peer_loss =
       on_loss == "throw"
           ? comm::ResiliencePolicy::PeerLoss::kThrow
@@ -395,7 +418,7 @@ int cmd_render_service(const Args& a) {
   sc.ranks = a.get_int("ranks", 8);
   sc.volume_n = a.get_int("volume", 96);
   sc.image_size = a.get_int("image", 512);
-  sc.renderer = a.get("renderer", "shearwarp");
+  sc.renderer = a.get_choice("renderer", kRenderers);
   sc.max_in_flight = a.get_int("max-in-flight", 2);
   if (sc.max_in_flight < 1) {
     std::cerr << "bad value for --max-in-flight: want >= 1\n";
@@ -430,13 +453,8 @@ int cmd_render_service(const Args& a) {
     return 2;
   }
 
-  const std::string adm = a.get("admission", "shed-oldest");
-  if (adm != "shed-oldest" && adm != "reject-new") {
-    std::cerr << "unknown --admission: " << adm
-              << " (expected shed-oldest or reject-new)\n";
-    return 2;
-  }
-  sc.admission = service::parse_admission_policy(adm);
+  sc.admission = service::parse_admission_policy(
+      a.get_choice("admission", {"shed-oldest", "reject-new"}));
   sc.queue_cap = a.get_int("queue-cap", 8);
   if (sc.queue_cap < 1) {
     std::cerr << "bad value for --queue-cap: want >= 1\n";
@@ -455,7 +473,7 @@ int cmd_render_service(const Args& a) {
   const std::string trace_out = a.get("trace-out", "");
   const std::string metrics_out = a.get("metrics-out", "");
   sc.comp.record_spans = a.has("trace-out") || a.has("metrics-out");
-  if (a.get("net", "sp2-hps") == "paper-example")
+  if (a.get_choice("net", kNets) == "paper-example")
     sc.comp.net = comm::paper_example_model();
   if (const int rc = parse_scaling_flags(a, sc.comp); rc != 0) return rc;
   if (const int rc = parse_fault_flags(a, sc.comp); rc != 0) return rc;
@@ -511,7 +529,7 @@ int cmd_render_frames(const Args& a) {
   pc.yaw0_deg = a.get_double("yaw", 0.0);
   pc.sweep_deg = a.get_double("sweep", 360.0);
   pc.pitch_deg = a.get_double("pitch", 20.0);
-  pc.renderer = a.get("renderer", "shearwarp");
+  pc.renderer = a.get_choice("renderer", kRenderers);
   pc.max_in_flight = a.get_int("max-in-flight", 2);
   pc.coherence = !a.has("no-coherence");
   pc.fault_frame = a.get_int("fault-frame", -1);
@@ -519,7 +537,7 @@ int cmd_render_frames(const Args& a) {
   pc.comp.initial_blocks = a.get_int("blocks", 3);
   pc.comp.codec = a.get("codec", "");
   pc.comp.gather = true;
-  if (a.get("net", "sp2-hps") == "paper-example")
+  if (a.get_choice("net", kNets) == "paper-example")
     pc.comp.net = comm::paper_example_model();
   if (const int rc = parse_scaling_flags(a, pc.comp); rc != 0) return rc;
   if (const int rc = parse_fault_flags(a, pc.comp); rc != 0) return rc;
@@ -571,8 +589,9 @@ int cmd_render(const Args& a) {
   const int ranks = a.get_int("ranks", 8);
   const std::string method = a.get("method", "rt_n");
   const int blocks = a.get_int("blocks", 3);
-  const std::string renderer = a.get("renderer", "shearwarp");
-  const std::string partition = a.get("partition", "slab");
+  const std::string renderer = a.get_choice("renderer", kRenderers);
+  const std::string partition =
+      a.get_choice("partition", {"slab", "grid", "balanced"});
   const bool mip = a.has("mip");
   const int volume_n = a.get_int("volume", 96);
   const int image_size = a.get_int("image", 512);
@@ -589,7 +608,7 @@ int cmd_render(const Args& a) {
   cfg.blend = mip ? img::BlendMode::kMax : img::BlendMode::kOver;
   cfg.gather = true;
   cfg.record_spans = a.has("trace-out") || a.has("metrics-out");
-  if (a.get("net", "sp2-hps") == "paper-example")
+  if (a.get_choice("net", kNets) == "paper-example")
     cfg.net = comm::paper_example_model();
 
   if (const int rc = parse_scaling_flags(a, cfg); rc != 0) return rc;
