@@ -5,10 +5,10 @@
 //   * default — google-benchmark suite (args go to the benchmark
 //     library: --benchmark_filter=..., etc.)
 //   * --wallclock — measured-throughput mode for the perf CI gate:
-//     runs each pixel/codec kernel at every SIMD dispatch level this
-//     machine supports and reports Mpix/s and MB/s per kernel plus
-//     SIMD-over-scalar speedups, optionally as JSON
-//     (BENCH_wallclock.json) for scripts/check_wallclock.sh.
+//     runs each pixel/codec kernel and the wire CRC at every SIMD
+//     dispatch level this machine supports and reports Mpix/s and
+//     MB/s per kernel plus SIMD-over-scalar speedups, optionally as
+//     JSON (BENCH_wallclock.json) for scripts/check_wallclock.sh.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "rtc/comm/frame.hpp"
 #include "rtc/common/flags.hpp"
 #include "rtc/compress/codec.hpp"
 #include "rtc/core/schedule.hpp"
@@ -254,6 +255,11 @@ void measure_level(const WallclockOptions& o, const std::string& level,
         codec->decode_blend(encoded, dst.pixels(), geom,
                             img::BlendMode::kOver, /*src_front=*/false,
                             scratch);
+      }));
+  // The wire checksum over the image's raw bytes, as a raw-codec frame
+  // of this image would be checksummed on send and again on receive.
+  add("crc32", measure_mpix_s(pixels, o.repeat, [&] {
+        benchmark::DoNotOptimize(comm::crc32(std::as_bytes(src.pixels())));
       }));
   if (o.blend_threads > 1) {
     img::set_blend_threads(o.blend_threads);

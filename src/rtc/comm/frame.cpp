@@ -1,32 +1,12 @@
 #include "rtc/comm/frame.hpp"
 
-#include <array>
-
 #include "rtc/common/wire.hpp"
+#include "rtc/simd/kernels.hpp"
 
 namespace rtc::comm {
 
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
 std::uint32_t crc32(std::span<const std::byte> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::byte b : data)
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return simd::kernels().crc32(data.data(), data.size());
 }
 
 void encode_frame_into(std::vector<std::byte>& out, std::uint32_t seq,

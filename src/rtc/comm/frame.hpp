@@ -14,7 +14,11 @@
 // bytes only. The 20-byte header and the CRC computation are part of
 // the per-message software overhead that the paper's Ts constant
 // already models, so framing adds zero virtual time and the zero-fault
-// figures reproduce bit-for-bit.
+// figures reproduce bit-for-bit. On the wall clock the CRC is real
+// work — it runs over every payload on send and again on receive — so
+// it is a dispatched SIMD kernel (simd::Kernels::crc32: slice-by-16,
+// or PCLMULQDQ folding at the avx2 level). Every level computes the
+// same checksum, so the dispatch level never changes a frame byte.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +31,8 @@ namespace rtc::comm {
 inline constexpr std::uint32_t kFrameMagic = 0x52544346u;  // "RTCF"
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed by
+/// the active dispatch level's kernel.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data);
 
 /// Wraps `payload` in a frame headed by `seq`.

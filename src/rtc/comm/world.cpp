@@ -686,9 +686,10 @@ void Comm::send(int dst, int tag, std::vector<std::byte> payload) {
     e.delayed = s.delayed;
     e.jittered = jit > 0.0;
     e.lost = s.lost;
-    if (s.corrupt_delivery)
-      FaultInjector::flip_bit(e.frame, s.corrupt_salt);
-    if (s.duplicate) {
+    // Only a delivered message can arrive twice. A copy of a lost one
+    // would take a receive slot of its own on this (src, tag) pair and
+    // push every later message one slot late.
+    if (s.duplicate && !s.lost) {
       dup = World::Envelope{};
       dup->frame = e.frame;
       dup->available_at = e.available_at + m.wire_time(bytes);
@@ -770,6 +771,11 @@ void Comm::send(int dst, int tag, std::vector<std::byte> payload) {
         sc.flagged = false;
       }
     }
+    // Damage the direct copy last, so the hedge copy taken above keeps
+    // the clean frame. A corrupt final attempt means the direct copy is
+    // lost; e.lost is still true only if no hedge replaced it.
+    if (s.corrupt_delivery && e.lost)
+      FaultInjector::flip_bit(e.frame, s.corrupt_salt);
   }
 
   stats_.messages_sent += 1;
@@ -834,7 +840,11 @@ Comm::RecvOutcome Comm::recv_outcome(int src, int tag) {
     if (e->jittered) stats_.jitter_delays += 1;
 
     const DecodedFrame d = decode_frame(e->frame);
-    if (d.ok() && !seen_seqs_.insert(seq_key(psrc, d.seq)).second) {
+    // A lost delivery consumes no sequence number: it is the only copy
+    // of its message, and a damaged header may carry another message's
+    // seq (the CRC covers the payload only).
+    if (!e->lost && d.ok() &&
+        !seen_seqs_.insert(seq_key(psrc, d.seq)).second) {
       // Sequence number already consumed: injected duplicate or a hedge
       // copy that lost the race. Discard without advancing the clock —
       // protocol-level dedup is free.

@@ -32,10 +32,12 @@ SimdLevel probe_cpu() {
   return SimdLevel::kScalar;
 #elif defined(__x86_64__) || defined(_M_X64)
   // RTC_SIMD_HAS_AVX2 is set by CMake only when the AVX2 TU was
-  // actually built with -mavx2; without it the avx2 table aliases
-  // scalar and reporting kAvx2 would promise a speedup we can't give.
+  // actually built with -mavx2 -mpclmul; without it the avx2 table
+  // aliases scalar and reporting kAvx2 would promise a speedup we can't
+  // give. Every AVX2 CPU has PCLMULQDQ, but ask for both bits anyway.
 #if defined(RTC_SIMD_HAS_AVX2)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul"))
+    return SimdLevel::kAvx2;
 #endif
   // SSE2 is architecturally guaranteed on x86-64, but ask anyway so a
   // hypervisor masking it degrades gracefully.

@@ -1,11 +1,13 @@
-// Runtime SIMD dispatch for the pixel/codec hot paths.
+// Runtime SIMD dispatch for the pixel/codec hot paths and the wire
+// frame checksum.
 //
 // Every kernel in kernels.hpp exists at three levels — portable scalar,
 // SSE2 and AVX2 — and all levels compute bit-identical results: the
 // vector paths reproduce the scalar integer arithmetic (including the
 // uint8 wraparound of malformed premultiplied inputs) lane for lane,
-// so switching levels can never change an image, a golden, or a wire
-// byte. Dispatch therefore only affects wall-clock speed.
+// and every CRC body computes the same CRC-32, so switching levels can
+// never change an image, a golden, or a wire byte. Dispatch therefore
+// only affects wall-clock speed.
 //
 // Selection, highest priority first:
 //   1. simd::set_level() / simd::request_level("auto|scalar|sse2|avx2")
@@ -28,7 +30,7 @@ namespace rtc::simd {
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable C++ (always available)
   kSse2 = 1,    ///< x86-64 baseline 128-bit
-  kAvx2 = 2,    ///< 256-bit integer SIMD
+  kAvx2 = 2,    ///< 256-bit integer SIMD plus PCLMULQDQ
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level);

@@ -1,5 +1,6 @@
 // The dispatched kernel table: the per-pixel inner loops of the
-// composition hot path, one implementation per SimdLevel.
+// composition hot path, plus the wire checksum every framed message
+// pays twice (comm::crc32), one implementation per SimdLevel.
 //
 // Contract: for identical inputs, every level writes identical bytes.
 // The "over" kernels replicate rtc::img::over()'s integer arithmetic
@@ -43,6 +44,11 @@ using BlankMaskFn = void (*)(const img::GrayA8* px, std::size_t n,
 /// cell. row0/row1 each receive 2*k blended pixels.
 using FusedCellsFn = void (*)(img::GrayA8* row0, img::GrayA8* row1,
                               const std::byte* payload, std::size_t k);
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of n bytes,
+/// with the usual all-ones preset and final inversion. The scalar and
+/// sse2 levels run a portable slice-by-16 table loop; avx2 folds
+/// 64-byte blocks with PCLMULQDQ (Gopal et al., Intel, 2009).
+using Crc32Fn = std::uint32_t (*)(const std::byte* data, std::size_t n);
 
 struct Kernels {
   OverFn over_front;       ///< dst = src OVER dst
@@ -53,6 +59,7 @@ struct Kernels {
   FusedCellsFn fused_cells_over_front;  ///< payload pixels in front
   FusedCellsFn fused_cells_over_back;   ///< payload pixels behind
   FusedCellsFn fused_cells_max;
+  Crc32Fn crc32;  ///< the wire frame checksum (comm/frame.hpp)
 };
 
 /// Kernel table for one specific level. `level` must not exceed
@@ -66,7 +73,7 @@ struct Kernels {
 }
 
 namespace detail {
-// Per-level tables, defined in kernels_scalar.cpp / kernels_x86.cpp.
+// Per-level tables, defined in kernels_{scalar,sse2,avx2}.cpp.
 // kSse2/kAvx2 fall back to scalar entries off x86-64 or under
 // -DRTC_SIMD=OFF (they are then never selected by dispatch anyway).
 [[nodiscard]] const Kernels& scalar_kernels();

@@ -1,8 +1,9 @@
-// AVX2 (256-bit) kernels: 16 pixels per iteration.
+// AVX2 (256-bit) kernels: 16 pixels per iteration, plus the
+// PCLMULQDQ wire checksum.
 //
-// This translation unit is compiled with -mavx2 (see CMakeLists.txt);
-// nothing here may be called unless dispatch selected kAvx2, which
-// requires __builtin_cpu_supports("avx2"). The arithmetic is the SSE2
+// This translation unit is compiled with -mavx2 -mpclmul (see
+// CMakeLists.txt); nothing here may be called unless dispatch selected
+// kAvx2, which requires both CPU bits. The pixel arithmetic is the SSE2
 // scheme widened to 256 bits: unpack/pack and the 16-bit shuffles all
 // operate per 128-bit lane, and because the unpack and pack lane
 // splits mirror each other the byte order round-trips exactly.
@@ -10,7 +11,7 @@
 #include "rtc/simd/scalar_impl.hpp"
 
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__) && \
-    !defined(RTC_SIMD_DISABLED)
+    defined(__PCLMUL__) && !defined(RTC_SIMD_DISABLED)
 
 #include <immintrin.h>
 
@@ -170,6 +171,65 @@ void fused_cells_max(img::GrayA8* row0, img::GrayA8* row1,
               scalar::fused_cells_max);
 }
 
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009). Four 128-bit accumulators fold 64 bytes per step; they
+/// collapse into one, which folds the remaining 16-byte blocks, and
+/// the 128-bit remainder reduces to 64 and then (Barrett) 32 bits. The
+/// constants are the paper's bit-reflected ones for 0xEDB88320:
+/// x^(4*128±32) and x^(128±32) mod P for the folds, x^64 mod P for the
+/// 64-bit step, and P' and mu = floor(x^64 / P) for the reduction.
+/// Inputs under 64 bytes and the last n % 16 bytes take slice-by-16.
+std::uint32_t crc32(const std::byte* data, std::size_t n) {
+  if (n < 64) return scalar::crc32(data, n);
+  const auto load = [](const std::byte* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  // Carries acc forward onto the block `next`:
+  // acc.lo * k.lo ^ acc.hi * k.hi ^ next (carry-less).
+  const auto fold = [](__m128i acc, __m128i k, __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                       _mm_clmulepi64_si128(acc, k, 0x11)),
+                         next);
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  const std::byte* p = data;
+  const std::byte* const end = data + (n & ~std::size_t{15});
+  // The all-ones preset enters as the first 32 bits of the message.
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(-1));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  for (p += 64; end - p >= 64; p += 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; p < end; p += 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 through x^64 mod P.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+      _mm_srli_si128(x1, 4));
+  // Barrett reduction: q = (x mod x^32) * mu, remainder ^= q * P.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly, 0x00);
+  const auto crc =
+      static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, q), 1));
+  return ~scalar::crc32_update(crc, end, n & 15);
+}
+
 }  // namespace
 
 namespace detail {
@@ -180,6 +240,7 @@ const Kernels& avx2_kernels() {
       max_blend,       count_non_blank,
       blank_mask,      fused_cells_over_front,
       fused_cells_over_back, fused_cells_max,
+      crc32,
   };
   return k;
 }
@@ -187,9 +248,9 @@ const Kernels& avx2_kernels() {
 }  // namespace detail
 }  // namespace rtc::simd
 
-#else  // no AVX2 at build time: table aliases scalar (and is never
-       // selected — detected_level() needs the CPU bit, and a CPU
-       // with the bit still gets correct results through this alias).
+#else  // no AVX2+PCLMUL at build time: table aliases scalar (and is
+       // never selected — detected_level() needs the CPU bits, and a
+       // CPU with them still gets correct results through this alias).
 
 namespace rtc::simd::detail {
 const Kernels& avx2_kernels() { return scalar_kernels(); }

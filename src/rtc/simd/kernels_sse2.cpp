@@ -175,6 +175,7 @@ const Kernels& sse2_kernels() {
       max_blend,       count_non_blank,
       blank_mask,      fused_cells_over_front,
       fused_cells_over_back, fused_cells_max,
+      scalar::crc32,  // PCLMULQDQ is not SSE2: the portable slice-by-16
   };
   return k;
 }

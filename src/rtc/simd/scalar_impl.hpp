@@ -1,6 +1,8 @@
 // Portable scalar kernel bodies — the semantic reference every vector
 // level must match byte-for-byte. Internal to src/rtc/simd/ (included
 // by the per-level TUs for their tail loops); not installed API.
+// The CRC bodies are defined out of line in kernels_scalar.cpp, so the
+// AVX2 TU's tail calls run code built without -mavx2.
 #pragma once
 
 #include <cstddef>
@@ -84,5 +86,15 @@ inline void fused_cells_max(img::GrayA8* row0, img::GrayA8* row1,
     d1[1] = img::max_blend(d1[1], cell_px(pay, 3));
   }
 }
+
+/// Advances a CRC-32 register (no preset, no final inversion) over n
+/// bytes, sixteen at a time through slice-by-16 tables. Bytes are read
+/// one by one, so the result does not depend on host byte order.
+std::uint32_t crc32_update(std::uint32_t crc, const std::byte* data,
+                           std::size_t n);
+
+/// Kernels::crc32 at the scalar and sse2 levels:
+/// ~crc32_update(0xFFFFFFFF, data, n).
+std::uint32_t crc32(const std::byte* data, std::size_t n);
 
 }  // namespace rtc::simd::scalar

@@ -9,6 +9,7 @@
 #include <thread>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "rtc/common/check.hpp"
 
@@ -461,6 +462,119 @@ TEST(Faults, PersistentCorruptionDeliversDamagedFrameToCrcCheck) {
   EXPECT_GE(r.stats.total_crc_failures(), 3);
   EXPECT_EQ(r.stats.total_lost_messages(), 1);
   EXPECT_TRUE(r.stats.degraded());
+}
+
+TEST(Faults, DuplicateOfALostMessageTakesNoReceiveSlot) {
+  // A plan seed whose coins corrupt and duplicate message 1 (seq 1)
+  // while message 2 (seq 2) goes through untouched, found through the
+  // injector's own public coins.
+  constexpr int kTag = 1;
+  FaultPlan plan;
+  plan.corrupt = 0.5;
+  plan.duplicate = 0.5;
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; s < 4096 && seed == 0; ++s) {
+    plan.seed = s;
+    const FaultInjector inj(plan);
+    if (inj.attempt_corrupted(0, 1, kTag, 1, 0) &&
+        inj.duplicated(0, 1, kTag, 1) &&
+        !inj.attempt_corrupted(0, 1, kTag, 2, 0) &&
+        !inj.duplicated(0, 1, kTag, 2))
+      seed = s;
+  }
+  ASSERT_NE(seed, 0u);
+  plan.seed = seed;
+  ResiliencePolicy pol;
+  pol.retries = 0;
+  World world(2, NetworkModel{});
+  world.set_fault_plan(plan);
+  world.set_resilience(pol);
+  const RunResult r = world.run([](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, kTag, bytes_of(1));
+      c.send(1, kTag, bytes_of(2));
+    } else {
+      EXPECT_EQ(c.try_recv(0, kTag), std::nullopt);
+      // The lost message's copy must not stand in front of message 2.
+      const auto second = c.try_recv(0, kTag);
+      ASSERT_TRUE(second.has_value());
+      EXPECT_EQ(int_of(*second), 2);
+    }
+  });
+  EXPECT_EQ(r.stats.total_lost_messages(), 1);
+  EXPECT_EQ(r.stats.total_crc_failures(), 1);
+  EXPECT_EQ(r.stats.total_duplicates_discarded(), 0);
+}
+
+TEST(Faults, LostMessagesNeverShiftLaterOnes) {
+  // A lost delivery's flipped bit can land in the frame header's seq
+  // field, which the payload CRC does not cover. Whatever it hits, each
+  // receive on the pair yields its own message or reports a loss.
+  constexpr int kSends = 200;
+  FaultPlan plan;
+  plan.seed = 4;
+  plan.corrupt = 0.3;
+  ResiliencePolicy pol;
+  pol.retries = 0;
+  World world(2, NetworkModel{});
+  world.set_fault_plan(plan);
+  world.set_resilience(pol);
+  int lost = 0;
+  const RunResult r = world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i < kSends; ++i) c.send(1, 1, bytes_of(i));
+    } else {
+      for (int i = 0; i < kSends; ++i) {
+        const auto got = c.try_recv(0, 1);
+        if (!got) {
+          ++lost;
+          continue;
+        }
+        ASSERT_EQ(int_of(*got), i);
+      }
+    }
+  });
+  EXPECT_GT(lost, 0);
+  EXPECT_EQ(r.stats.total_lost_messages(), lost);
+}
+
+TEST(Faults, HedgeThroughACleanRelayArrivesIntact) {
+  // Link 0 -> 1 damages every attempt; the detour through rank 2 is
+  // clean. The first message is lost unhedged and flags rank 1 as a
+  // straggler; every later one is hedged through the relay, and the
+  // hedge copy must not carry the direct copy's damage.
+  constexpr int kSends = 6;
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.links.push_back({.src = 0, .dst = 1, .corrupt = 1.0});
+  ResiliencePolicy rp;
+  rp.retries = 1;
+  rp.straggler_multiple = 3.0;
+  rp.straggler_window = 1;
+  rp.hedge = true;
+  World world(3, NetworkModel{});
+  world.set_fault_plan(plan);
+  world.set_resilience(rp);
+  world.set_recv_timeout(10.0);  // a swallowed message fails, not hangs
+  std::vector<std::optional<std::vector<std::byte>>> got;
+  const RunResult r = world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      for (int i = 0; i < kSends; ++i) c.send(1, 1, bytes_of(i));
+    } else if (c.rank() == 1) {
+      for (int i = 0; i < kSends; ++i) got.push_back(c.try_recv(0, 1));
+    }
+  });
+  const RankStats& sender = r.stats.ranks[0];
+  EXPECT_EQ(sender.hedged_sends, kSends - 1);
+  EXPECT_EQ(sender.hedge_wins, sender.hedged_sends);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kSends));
+  EXPECT_EQ(got[0], std::nullopt);
+  for (int i = 1; i < kSends; ++i) {
+    const auto& p = got[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(p.has_value()) << "hedged message " << i;
+    EXPECT_EQ(int_of(*p), i);
+  }
+  EXPECT_EQ(r.stats.total_lost_messages(), 1);
 }
 
 TEST(Faults, CrashAfterSendsMakesPeerDead) {

@@ -9,9 +9,11 @@
 // each supported level against the scalar reference with EXPECT_EQ on
 // raw bytes. They also pin codec-level equivalence: TRLE encode must
 // produce the same wire bytes and decode_blend the same image at every
-// level.
+// level, and the wire CRC must equal a bytewise reference at every
+// level, length and alignment.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -193,6 +195,84 @@ TEST(SimdKernels, FusedCellsMatchScalarEverywhere) {
               << " cells=" << cells << " class=" << cls;
         }
       }
+    }
+  }
+}
+
+/// Reference CRC-32 every level must equal: the plain bytewise table
+/// loop, one lookup per byte, reflected polynomial 0xEDB88320.
+std::uint32_t crc32_bytewise(const std::byte* data, std::size_t n) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i)
+    c = table[(c ^ std::to_integer<std::uint32_t>(data[i])) & 0xffu] ^
+        (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) b = static_cast<std::byte>(rng() & 0xff);
+  return out;
+}
+
+TEST(SimdCrc32, MatchesBytewiseAtEveryLengthAndAlignment) {
+  // Every tail length of the 16-byte slice and fold strides, on both
+  // sides of the 64-byte fold minimum, from every 16-byte alignment.
+  const auto buf = random_bytes(1024 + 16, 29);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::byte* p = buf.data() + align;
+      const std::uint32_t want = crc32_bytewise(p, n);
+      for (const SimdLevel level : supported_levels()) {
+        ASSERT_EQ(simd::kernels_for(level).crc32(p, n), want)
+            << "level=" << simd::to_string(level) << " n=" << n
+            << " align=" << align;
+      }
+    }
+  }
+}
+
+TEST(SimdCrc32, MatchesBytewiseAroundLargerMultiplesOf16) {
+  const auto buf = random_bytes(65536 + 64, 31);
+  for (const std::size_t base : {std::size_t{64}, std::size_t{1024},
+                                 std::size_t{4096}, std::size_t{65536}}) {
+    for (const std::size_t n : {base - 17, base - 16, base - 15, base - 1,
+                                base, base + 1, base + 15, base + 16,
+                                base + 17}) {
+      for (const std::size_t align : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{8}, std::size_t{15}}) {
+        const std::byte* p = buf.data() + align;
+        const std::uint32_t want = crc32_bytewise(p, n);
+        for (const SimdLevel level : supported_levels()) {
+          ASSERT_EQ(simd::kernels_for(level).crc32(p, n), want)
+              << "level=" << simd::to_string(level) << " n=" << n
+              << " align=" << align;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdCrc32, MatchesBytewiseOnAMebibyteAtTwoAlignments) {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  const auto buf = random_bytes(kBytes + 16, 37);
+  for (const std::size_t align : {std::size_t{0}, std::size_t{13}}) {
+    const std::byte* p = buf.data() + align;
+    const std::uint32_t want = crc32_bytewise(p, kBytes + 3);
+    for (const SimdLevel level : supported_levels()) {
+      EXPECT_EQ(simd::kernels_for(level).crc32(p, kBytes + 3), want)
+          << "level=" << simd::to_string(level) << " align=" << align;
     }
   }
 }
