@@ -5,10 +5,11 @@
 //   * default — google-benchmark suite (args go to the benchmark
 //     library: --benchmark_filter=..., etc.)
 //   * --wallclock — measured-throughput mode for the perf CI gate:
-//     runs each pixel/codec kernel and the wire CRC at every SIMD
-//     dispatch level this machine supports and reports Mpix/s and
-//     MB/s per kernel plus SIMD-over-scalar speedups, optionally as
-//     JSON (BENCH_wallclock.json) for scripts/check_wallclock.sh.
+//     runs each pixel/codec kernel, the raw wire format's round trip
+//     and the wire CRC at every SIMD dispatch level this machine
+//     supports and reports Mpix/s and MB/s per kernel plus
+//     SIMD-over-scalar speedups, optionally as JSON
+//     (BENCH_wallclock.json) for scripts/check_wallclock.sh.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -229,7 +230,9 @@ void measure_level(const WallclockOptions& o, const std::string& level,
   const compress::BlockGeometry geom{n, 0};
   const auto encoded = codec->encode(src.pixels(), geom);
   std::vector<std::byte> enc_buf;
+  std::vector<std::byte> raw_buf;
   std::vector<img::GrayA8> scratch;
+  std::vector<img::GrayA8> decoded(static_cast<std::size_t>(pixels));
 
   const auto add = [&](const std::string& kernel, double mpix) {
     out.push_back(KernelResult{kernel + "/" + level, mpix, mpix * 2.0});
@@ -255,6 +258,19 @@ void measure_level(const WallclockOptions& o, const std::string& level,
         codec->decode_blend(encoded, dst.pixels(), geom,
                             img::BlendMode::kOver, /*src_front=*/false,
                             scratch);
+      }));
+  // Plain decode, as radix and pp's ring segments decode every block.
+  add("trle_decode", measure_mpix_s(pixels, o.repeat, [&] {
+        codec->decode(encoded, decoded, geom);
+        benchmark::DoNotOptimize(decoded.data());
+      }));
+  // The raw wire format both ways: serialize on send, deserialize on
+  // receive.
+  add("raw_roundtrip", measure_mpix_s(pixels, o.repeat, [&] {
+        raw_buf.clear();
+        img::serialize_pixels_into(src.pixels(), raw_buf);
+        img::deserialize_pixels(raw_buf, decoded);
+        benchmark::DoNotOptimize(decoded.data());
       }));
   // The wire checksum over the image's raw bytes, as a raw-codec frame
   // of this image would be checksummed on send and again on receive.

@@ -24,9 +24,7 @@
 #include "rtc/compositing/compositor.hpp"
 #include "rtc/compositing/wire.hpp"
 #include "rtc/image/ops.hpp"
-#include "rtc/image/serialize.hpp"
 #include "rtc/image/tiling.hpp"
-#include "rtc/obs/span.hpp"
 
 namespace rtc::compositing {
 
@@ -50,8 +48,8 @@ class Pipelined final : public Compositor {
 
     if (p == 1) {
       if (!opt.gather) return img::Image{};
-      const std::pair<int, std::int64_t> owned[] = {{0, 0}};
-      return gather_fragments(comm, partial, tiling, owned, opt.root,
+      const OwnedBlock owned[] = {{0, 0, partial.pixels()}};
+      return gather_fragments(comm, tiling, owned, opt.root,
                               partial.width(), partial.height(), opt.sink,
                               opt.frame_id);
     }
@@ -116,17 +114,11 @@ class Pipelined final : public Compositor {
     }
 
     if (!opt.gather) return img::Image{};
-    // Place my final block into a scratch image for the shared gather.
-    img::Image scratch(partial.width(), partial.height());
-    const img::PixelSpan mine = tiling.block(0, r);
-    std::span<img::GrayA8> dst = scratch.view(mine);
-    RTC_CHECK(final_pixels.size() == dst.size());
-    std::copy(final_pixels.begin(), final_pixels.end(), dst.begin());
-    const std::pair<int, std::int64_t> owned[] = {
-        {0, static_cast<std::int64_t>(r)}};
-    return gather_fragments(comm, scratch, tiling, owned, opt.root,
-                            partial.width(), partial.height(), opt.sink,
-                            opt.frame_id);
+    // My final block is the joined ring segment itself.
+    const OwnedBlock owned[] = {
+        {0, static_cast<std::int64_t>(r), final_pixels}};
+    return gather_fragments(comm, tiling, owned, opt.root, partial.width(),
+                            partial.height(), opt.sink, opt.frame_id);
   }
 
  private:
@@ -146,8 +138,8 @@ class Pipelined final : public Compositor {
     std::vector<std::byte> payload = comm.pool().acquire();
     payload.push_back(static_cast<std::byte>(state.front.empty() ? 0 : 1));
     if (!state.front.empty())
-      append_segment(comm, tag, payload, state.front, geom, codec);
-    append_segment(comm, tag, payload, state.back, geom, codec);
+      append_block(comm, tag, payload, state.front, geom, codec);
+    append_block(comm, tag, payload, state.back, geom, codec);
     comm.send(dst, tag, std::move(payload));
   }
 
@@ -177,11 +169,17 @@ class Pipelined final : public Compositor {
     try {
       wire::WireReader r(payload);
       const bool has_front = r.u8("segment-state flag") != 0;
+      std::span<const std::byte> rest = r.rest();
+      const auto pixels = static_cast<std::size_t>(s.size());
       State state;
-      if (has_front)
-        state.front = take_segment(comm, tag, r, s.size(), geom, codec);
-      state.back = take_segment(comm, tag, r, s.size(), geom, codec);
-      r.finish("ring segment payload");
+      if (has_front) {
+        state.front.resize(pixels);
+        take_block(comm, tag, rest, state.front, geom, codec);
+      }
+      state.back.resize(pixels);
+      take_block(comm, tag, rest, state.back, geom, codec);
+      wire::require(rest.empty(), wire::DecodeError::Kind::kTrailing,
+                    "ring segment payload");
       comm.pool().release(std::move(payload));
       return state;
     } catch (const wire::DecodeError&) {
@@ -194,62 +192,6 @@ class Pipelined final : public Compositor {
       blank.back.assign(static_cast<std::size_t>(s.size()), img::kBlank);
       return blank;
     }
-  }
-
-  static void append_segment(comm::Comm& comm, int tag,
-                             std::vector<std::byte>& out,
-                             std::span<const img::GrayA8> px,
-                             const compress::BlockGeometry& geom,
-                             const compress::Codec* codec) {
-    // Length-prefix in place (no intermediate body buffer).
-    wire::WireWriter w(out);
-    const std::size_t at = w.reserve_u64();
-    const std::size_t body_begin = out.size();
-    const auto raw =
-        static_cast<std::int64_t>(px.size() * img::kBytesPerPixel);
-    if (codec == nullptr) {
-      img::serialize_pixels_into(px, out);
-      comm.note_span(obs::SpanKind::kEncode, tag,
-                     static_cast<std::int64_t>(out.size() - body_begin),
-                     raw);
-    } else {
-      const std::int64_t w0 =
-          comm.trace().enabled() ? obs::wall_now_ns() : -1;
-      std::int64_t blank = 0;
-      if (comm.trace().enabled())
-        for (const img::GrayA8 p : px) blank += img::is_blank(p) ? 1 : 0;
-      codec->encode_into(px, geom, out);
-      comm.charge_span(obs::SpanKind::kEncode, tag,
-                       comm.model().tcodec_pixel *
-                           static_cast<double>(px.size()),
-                       static_cast<std::int64_t>(out.size() - body_begin),
-                       raw, w0);
-      if (blank > 0)
-        comm.note_span(obs::SpanKind::kBlankSkip, tag, 0, blank);
-    }
-    w.patch_u64(at, static_cast<std::uint64_t>(out.size() - body_begin));
-  }
-
-  static std::vector<img::GrayA8> take_segment(
-      comm::Comm& comm, int tag, wire::WireReader& r, std::int64_t pixels,
-      const compress::BlockGeometry& geom, const compress::Codec* codec) {
-    const std::span<const std::byte> body =
-        r.length_prefixed("ring segment");
-    std::vector<img::GrayA8> px(static_cast<std::size_t>(pixels));
-    if (codec == nullptr) {
-      img::deserialize_pixels(body, px);
-      comm.note_span(obs::SpanKind::kDecode, tag,
-                     static_cast<std::int64_t>(body.size()), pixels);
-    } else {
-      const std::int64_t w0 =
-          comm.trace().enabled() ? obs::wall_now_ns() : -1;
-      codec->decode(body, px, geom);
-      comm.charge_span(obs::SpanKind::kDecode, tag,
-                       comm.model().tcodec_pixel *
-                           static_cast<double>(px.size()),
-                       static_cast<std::int64_t>(body.size()), pixels, w0);
-    }
-    return px;
   }
 
   bool exact_;

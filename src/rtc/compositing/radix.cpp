@@ -11,6 +11,7 @@
 // them under the same network model.
 //
 // Options::initial_blocks is reused as the radix k (>= 2).
+#include <algorithm>
 #include <numeric>
 
 #include "rtc/common/check.hpp"
@@ -70,8 +71,19 @@ class RadixK final : public Compositor {
         opt.coherence != nullptr ? &opt.coherence->rank(r) : nullptr;
     const bool coherent = opt.coherence != nullptr;
 
-    img::Image buf = partial;
+    // The rank's current pixels, starting at image pixel `first`: the
+    // partial until round 0 has sent, then only the rank's own round-0
+    // piece (`own`), within which every later round's span shrinks.
     img::PixelSpan span{0, partial.pixel_count()};
+    std::vector<img::GrayA8> own;
+    std::span<const img::GrayA8> current = partial.pixels();
+    std::int64_t first = 0;
+    const auto offset = [&](img::PixelSpan s) {
+      return static_cast<std::size_t>(s.begin - first);
+    };
+    const auto pixels_at = [&](img::PixelSpan s) {
+      return current.subspan(offset(s), static_cast<std::size_t>(s.size()));
+    };
     int stride = 1;  // product of earlier round sizes
 
     const std::vector<int> rounds = factor_rounds(p, k);
@@ -88,8 +100,16 @@ class RadixK final : public Compositor {
         if (j == digit) continue;
         const img::PixelSpan pc = piece_of(span, g, j);
         const compress::BlockGeometry geom{partial.width(), pc.begin};
-        send_block(comm, base + j * stride, tag, buf.view(pc), geom,
+        send_block(comm, base + j * stride, tag, pixels_at(pc), geom,
                    opt.codec, cache);
+      }
+
+      const img::PixelSpan mine = piece_of(span, g, digit);
+      if (t == 0) {
+        own.resize(static_cast<std::size_t>(mine.size()));
+        std::ranges::copy(partial.view(mine), own.begin());
+        current = own;
+        first = mine.begin;
       }
 
       // Receive my piece from every other member, then fold in
@@ -97,7 +117,6 @@ class RadixK final : public Compositor {
       // depth-adjacent coverage intervals (folding in arrival order
       // would fuse non-adjacent intervals, the very defect the loose
       // ring has).
-      const img::PixelSpan mine = piece_of(span, g, digit);
       const compress::BlockGeometry geom{partial.width(), mine.begin};
       std::vector<std::vector<img::GrayA8>> arrived(
           static_cast<std::size_t>(g));
@@ -120,7 +139,9 @@ class RadixK final : public Compositor {
       auto fold = [&](int j, bool front) {
         if (!ok[static_cast<std::size_t>(j)]) return;     // lost: blank
         if (blank[static_cast<std::size_t>(j)]) return;   // identity
-        img::blend_in_place(buf.view(mine),
+        img::blend_in_place(std::span<img::GrayA8>(own).subspan(
+                                offset(mine),
+                                static_cast<std::size_t>(mine.size())),
                             arrived[static_cast<std::size_t>(j)],
                             opt.blend, front);
         comm.charge_over(mine.size());
@@ -132,8 +153,9 @@ class RadixK final : public Compositor {
     }
 
     if (!opt.gather) return img::Image{};
-    return gather_spans(comm, buf, span, opt.root, partial.width(),
-                        partial.height(), opt.sink, opt.frame_id);
+    return gather_spans(comm, span, pixels_at(span), opt.root,
+                        partial.width(), partial.height(), opt.sink,
+                        opt.frame_id);
   }
 };
 

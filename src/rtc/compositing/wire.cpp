@@ -22,13 +22,12 @@ double codec_time(const comm::Comm& comm, std::size_t pixels) {
 }
 
 /// Blank pixels in `px` — only counted while tracing is armed (the
-/// O(n) pass is observability, not part of the cost model).
+/// pass is observability, not part of the cost model, so callers read
+/// the encode span's wall clock after it).
 std::int64_t blank_pixels(comm::Comm& comm,
                           std::span<const img::GrayA8> px) {
   if (!comm.trace().enabled()) return 0;
-  std::int64_t n = 0;
-  for (const img::GrayA8 p : px) n += img::is_blank(p) ? 1 : 0;
-  return n;
+  return static_cast<std::int64_t>(px.size()) - img::count_non_blank(px);
 }
 
 /// Classic encode of `px` into `out` (appending) through the codec, or
@@ -46,9 +45,9 @@ void encode_block_body(comm::Comm& comm, int tag,
     comm.note_span(obs::SpanKind::kEncode, tag,
                    static_cast<std::int64_t>(out.size() - before), raw);
   } else {
+    const std::int64_t blank = blank_pixels(comm, px);
     const std::int64_t w0 =
         comm.trace().enabled() ? obs::wall_now_ns() : -1;
-    const std::int64_t blank = blank_pixels(comm, px);
     codec->encode_into(px, geom, out);
     comm.charge_span(obs::SpanKind::kEncode, tag,
                      codec_time(comm, px.size()),
@@ -328,7 +327,7 @@ void take_block(comm::Comm& comm, int tag,
                 const compress::Codec* codec, bool coherent) {
   wire::WireReader r(rest);
   const std::span<const std::byte> body =
-      r.length_prefixed("aggregated block");
+      r.length_prefixed("length-prefixed block");
   decode_block(comm, tag, body, out, geom, codec, coherent);
   rest = r.rest();
 }
@@ -342,7 +341,7 @@ void take_block_blend(comm::Comm& comm, int tag,
                       bool coherent, int saturation) {
   wire::WireReader r(rest);
   const std::span<const std::byte> body =
-      r.length_prefixed("aggregated block");
+      r.length_prefixed("length-prefixed block");
   decode_blend_block(comm, tag, body, dst, geom, codec, mode, src_front,
                      scratch, coherent, saturation);
   rest = r.rest();
@@ -422,23 +421,24 @@ std::int64_t scatter_span_into(img::Image& out,
   return sp.size();
 }
 
-img::Image gather_fragments(
-    comm::Comm& comm, const img::Image& local, const img::Tiling& tiling,
-    std::span<const std::pair<int, std::int64_t>> owned, int root,
-    int width, int height, frames::TileSink* sink, int frame) {
+img::Image gather_fragments(comm::Comm& comm, const img::Tiling& tiling,
+                            std::span<const OwnedBlock> owned, int root,
+                            int width, int height, frames::TileSink* sink,
+                            int frame) {
   // Pack all locally-owned fragments into one gather payload:
   // [u32 count] then count packed fragments, each length-prefixed (u64).
   std::vector<std::byte> payload = comm.pool().acquire();
   {
     wire::WireWriter w(payload);
     w.u32(static_cast<std::uint32_t>(owned.size()));
-    for (const auto& [depth, index] : owned) {
-      const img::PixelSpan span = tiling.block(depth, index);
+    for (const OwnedBlock& b : owned) {
+      RTC_CHECK(static_cast<std::size_t>(tiling.block(b.depth, b.index)
+                                             .size()) == b.pixels.size());
       const std::size_t at = w.reserve_u64();
       const std::size_t body_begin = payload.size();
-      w.u32(static_cast<std::uint32_t>(depth));
-      w.u64(static_cast<std::uint64_t>(index));
-      img::serialize_pixels_into(local.view(span), payload);
+      w.u32(static_cast<std::uint32_t>(b.depth));
+      w.u64(static_cast<std::uint64_t>(b.index));
+      img::serialize_pixels_into(b.pixels, payload);
       w.patch_u64(at,
                   static_cast<std::uint64_t>(payload.size() - body_begin));
     }
@@ -468,16 +468,18 @@ img::Image gather_fragments(
   return out;
 }
 
-img::Image gather_spans(comm::Comm& comm, const img::Image& local,
-                        img::PixelSpan span, int root, int width,
-                        int height, frames::TileSink* sink, int frame) {
+img::Image gather_spans(comm::Comm& comm, img::PixelSpan span,
+                        std::span<const img::GrayA8> pixels, int root,
+                        int width, int height, frames::TileSink* sink,
+                        int frame) {
+  RTC_CHECK(static_cast<std::size_t>(span.size()) == pixels.size());
   // Payload: [i64 begin][i64 end][raw pixels].
   std::vector<std::byte> payload = comm.pool().acquire();
   {
     wire::WireWriter w(payload);
     w.i64(span.begin);
     w.i64(span.end);
-    img::serialize_pixels_into(local.view(span), payload);
+    img::serialize_pixels_into(pixels, payload);
   }
 
   const comm::GatherResult all =

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "rtc/comm/world.hpp"
@@ -97,7 +96,8 @@ bool recv_block_blend(comm::Comm& comm, int src, int tag,
                       bool coherent = false, int saturation = 0);
 
 /// Appends one length-prefixed encoded block to `payload` — used to
-/// aggregate several blocks for the same receiver into one message.
+/// aggregate several blocks for the same receiver into one message, and
+/// for the pipelined ring's traveling segments.
 /// Encodes directly into `payload` (no intermediate body buffer).
 /// `tag` attributes the encode span to its compositor step (obs).
 /// With `cache`, `peer` keys the coherence slot (the receiving rank).
@@ -170,29 +170,37 @@ std::int64_t scatter_span_into(img::Image& out,
                                frames::TileSink* sink = nullptr,
                                int frame = 0);
 
+/// One final block a rank owns: its (depth, index) against the tiling
+/// and a view of its composited pixels, wherever the rank holds them.
+struct OwnedBlock {
+  int depth = 0;
+  std::int64_t index = 0;
+  std::span<const img::GrayA8> pixels;
+};
+
 /// Gathers the (depth, index) blocks each rank finally owns into the
-/// assembled image at `opt.root`; other ranks return an empty image.
-/// `owned` lists this rank's final blocks against `tiling`. Under
-/// a degrading policy a rank whose payload is lost or malformed leaves
-/// its blocks blank (recorded via note_loss); under kThrow malformed
-/// bytes propagate as wire::DecodeError. With `sink`, the root
-/// delivers each gathered fragment incrementally as a tile of `frame`
-/// (lost ranks' regions are never delivered — they stay blank).
+/// assembled `width` x `height` image at `root`; other ranks return an
+/// empty image. `owned` lists this rank's final blocks against
+/// `tiling`, each view exactly its block's size. Under a degrading
+/// policy a rank whose payload is lost or malformed leaves its blocks
+/// blank (recorded via note_loss); under kThrow malformed bytes
+/// propagate as wire::DecodeError. With `sink`, the root delivers each
+/// gathered fragment incrementally as a tile of `frame` (lost ranks'
+/// regions are never delivered — they stay blank).
 [[nodiscard]] img::Image gather_fragments(
-    comm::Comm& comm, const img::Image& local, const img::Tiling& tiling,
-    std::span<const std::pair<int, std::int64_t>> owned, int root,
-    int width, int height, frames::TileSink* sink = nullptr,
-    int frame = 0);
+    comm::Comm& comm, const img::Tiling& tiling,
+    std::span<const OwnedBlock> owned, int root, int width, int height,
+    frames::TileSink* sink = nullptr, int frame = 0);
 
 /// Gathers one arbitrary pixel span per rank (methods whose final
 /// blocks are not tiling-aligned, e.g. radix-k). Every rank passes its
-/// span; the assembled image returns at `root`. Loss/malformed-payload
-/// handling matches gather_fragments, and `sink`/`frame` deliver spans
-/// incrementally the same way.
-[[nodiscard]] img::Image gather_spans(comm::Comm& comm,
-                                      const img::Image& local,
-                                      img::PixelSpan span, int root,
-                                      int width, int height,
+/// span and a view of that span's pixels; the assembled image returns
+/// at `root`. Loss/malformed-payload handling matches
+/// gather_fragments, and `sink`/`frame` deliver spans incrementally the
+/// same way.
+[[nodiscard]] img::Image gather_spans(comm::Comm& comm, img::PixelSpan span,
+                                      std::span<const img::GrayA8> pixels,
+                                      int root, int width, int height,
                                       frames::TileSink* sink = nullptr,
                                       int frame = 0);
 

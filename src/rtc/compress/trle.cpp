@@ -23,7 +23,9 @@
 // then reads templates as bit-pair lookups (with a 32-cells-at-a-time
 // skip over fully blank stretches), and the fused decode_blend hands
 // runs of full (0xF) cells to a vectorized blend that composites the
-// interleaved payload straight into both destination rows. Every
+// interleaved payload straight into both destination rows. Plain decode
+// runs through the same walk: blank runs become fills and full runs
+// row-pair copies, so only mixed cells go pixel by pixel. Every
 // dispatch level produces byte-identical streams and images — the
 // scalar-vs-SIMD property suite pins it.
 #include <algorithm>
@@ -194,9 +196,17 @@ class TrleCodec final : public Codec {
 
   void decode(std::span<const std::byte> bytes, std::span<img::GrayA8> out,
               const BlockGeometry& geom) const override {
-    walk(bytes, out.size(), geom,
+    // Every span pixel is written exactly once: payload pixels and
+    // blank bits one by one, interior runs of blank cells as two fills
+    // and runs of full cells as row-pair copies of their payload.
+    walk(bytes, out, geom,
          [&](std::size_t i, img::GrayA8 p) { out[i] = p; },
-         [&](std::size_t i) { out[i] = img::kBlank; });
+         [&](std::size_t i) { out[i] = img::kBlank; },
+         [](img::GrayA8* row0, img::GrayA8* row1, std::size_t k) {
+           std::fill_n(row0, 2 * k, img::kBlank);
+           std::fill_n(row1, 2 * k, img::kBlank);
+         },
+         copy_full_cells);
   }
 
   void decode_blend(std::span<const std::byte> bytes,
@@ -209,24 +219,26 @@ class TrleCodec final : public Codec {
     // full (0xF) cells — the bulk of any dense region — go through
     // the dispatched SIMD cell blend.
     const simd::Kernels& k = simd::kernels();
+    const auto keep = [](std::size_t) {};
+    const auto keep_cells = [](img::GrayA8*, img::GrayA8*, std::size_t) {};
     if (mode == img::BlendMode::kMax) {
-      walk_fused(bytes, dst, geom,
-                 [&](std::size_t i, img::GrayA8 p) {
-                   dst[i] = img::max_blend(dst[i], p);
-                 },
-                 k.fused_cells_max);
+      walk(bytes, dst, geom,
+           [&](std::size_t i, img::GrayA8 p) {
+             dst[i] = img::max_blend(dst[i], p);
+           },
+           keep, keep_cells, k.fused_cells_max);
     } else if (src_front) {
-      walk_fused(bytes, dst, geom,
-                 [&](std::size_t i, img::GrayA8 p) {
-                   dst[i] = img::over(p, dst[i]);
-                 },
-                 k.fused_cells_over_front);
+      walk(bytes, dst, geom,
+           [&](std::size_t i, img::GrayA8 p) {
+             dst[i] = img::over(p, dst[i]);
+           },
+           keep, keep_cells, k.fused_cells_over_front);
     } else {
-      walk_fused(bytes, dst, geom,
-                 [&](std::size_t i, img::GrayA8 p) {
-                   dst[i] = img::over(dst[i], p);
-                 },
-                 k.fused_cells_over_back);
+      walk(bytes, dst, geom,
+           [&](std::size_t i, img::GrayA8 p) {
+             dst[i] = img::over(dst[i], p);
+           },
+           keep, keep_cells, k.fused_cells_over_back);
     }
   }
 
@@ -238,76 +250,41 @@ class TrleCodec final : public Codec {
         static_cast<std::byte>(((run - 1) << kRunShift) | tmpl));
   }
 
-  /// Shared validated walk over an untrusted TRLE stream: `set(i, p)`
-  /// for every payload pixel, `clear(i)` for every in-span blank bit.
-  /// The code-count header is bounds-checked through the reader (no
-  /// `4 + n` arithmetic that can wrap), and the stream must cover the
-  /// cells exactly with no trailing codes or payload.
-  template <typename Set, typename Clear>
-  static void walk(std::span<const std::byte> bytes, std::size_t size,
-                   const BlockGeometry& geom, Set&& set, Clear&& clear) {
-    wire::WireReader r(bytes);
-    const std::uint32_t n_codes = r.u32("TRLE code count");
-    const std::span<const std::byte> codes =
-        r.bytes(n_codes, "TRLE code block");
-    const std::span<const std::byte> payload = r.rest();
-
-    std::size_t code_i = 0;
-    int remaining = 0;
-    std::uint8_t tmpl = 0;
-    std::size_t pay_i = 0;
-
-    for_each_cell(static_cast<std::int64_t>(size), geom.image_width,
-                  geom.span_begin, [&](const CellPixels& cell) {
-      if (remaining == 0) {
-        wire::require(code_i < codes.size(),
-                      wire::DecodeError::Kind::kTruncated,
-                      "TRLE code stream underrun");
-        const auto code = static_cast<std::uint8_t>(codes[code_i++]);
-        remaining = (code >> kRunShift) + 1;
-        tmpl = code & kTemplateMask;
-      }
-      --remaining;
-      for (int b = 0; b < 4; ++b) {
-        const std::int64_t i = cell.index[b];
-        if (i < 0) continue;
-        if (tmpl & (1u << b)) {
-          wire::require(pay_i + 2 <= payload.size(),
-                        wire::DecodeError::Kind::kTruncated,
-                        "TRLE payload underrun");
-          set(static_cast<std::size_t>(i),
-              img::GrayA8{static_cast<std::uint8_t>(payload[pay_i]),
-                          static_cast<std::uint8_t>(payload[pay_i + 1])});
-          pay_i += 2;
-        } else {
-          clear(static_cast<std::size_t>(i));
-        }
-      }
-    });
-    wire::require(remaining == 0 && code_i == codes.size(),
-                  wire::DecodeError::Kind::kTrailing,
-                  "TRLE code stream overrun");
-    wire::require(pay_i == payload.size(),
-                  wire::DecodeError::Kind::kTrailing,
-                  "trailing TRLE payload");
+  /// decode's full-cell run: the payload holds k cells of 4 pixels in
+  /// template-bit order, a row0 pair then a row1 pair per cell. Each
+  /// payload pixel is (v, a), GrayA8's own layout (image/serialize.cpp
+  /// pins it), so a row pair is one 4-byte copy.
+  static void copy_full_cells(img::GrayA8* row0, img::GrayA8* row1,
+                              const std::byte* payload, std::size_t k) {
+    for (std::size_t j = 0; j < k; ++j) {
+      std::memcpy(row0 + 2 * j, payload + 8 * j, 4);
+      std::memcpy(row1 + 2 * j, payload + 8 * j + 4, 4);
+    }
   }
 
-  /// Fused-blend walk: like walk() but without blank writes, which
-  /// lets it exploit the structure/payload split fully. Interior row
-  /// pairs (both rows inside the span) address cells by direct index
-  /// arithmetic — no per-pixel bounds checks; a run of blank templates
-  /// skips its cells in O(1) with no payload and no dst access, and a
-  /// run of full (0xF) cells blends through the dispatched SIMD
-  /// kernel, 4 payload pixels per cell straight into both rows.
-  /// Boundary row pairs fall back to the generic enumeration, so the
-  /// cell order (and thus code/payload consumption) is exactly
-  /// walk()'s; the decode_blend-vs-decode+blend property tests pin the
-  /// equivalence across odd widths and mid-cell span starts.
-  template <typename Set>
-  static void walk_fused(std::span<const std::byte> bytes,
-                         std::span<img::GrayA8> dst,
-                         const BlockGeometry& geom, Set&& set,
-                         simd::FusedCellsFn fused) {
+  /// The one validated walk over an untrusted TRLE stream, covering the
+  /// `dst.size()` span pixels at `geom`: `set(i, p)` for every payload
+  /// pixel, `clear(i)` for every in-span blank bit the walk visits one
+  /// by one. Interior row pairs (both rows inside the span) address
+  /// cells by direct index arithmetic, with no per-pixel bounds checks,
+  /// and hand whole runs to two bulk actions: a run of blank templates
+  /// goes to `blank_cells(row0, row1, k)` with no payload, and a run of
+  /// full (0xF) cells to `full_cells(row0, row1, payload, k)`, 4 payload
+  /// pixels per cell into both rows. Boundary row pairs fall back to the
+  /// generic enumeration, so the cell order (and thus code/payload
+  /// consumption) is exactly for_each_cell's. The code-count header is
+  /// bounds-checked through the reader (no `4 + n` arithmetic that can
+  /// wrap), and the stream must cover the cells exactly with no
+  /// trailing codes or payload. trle_test pins decode against a
+  /// per-cell reference walk, and the decode_blend-vs-decode+blend
+  /// property tests pin the blend actions, across odd widths and
+  /// mid-cell span starts.
+  template <typename Set, typename Clear, typename BlankCells,
+            typename FullCells>
+  static void walk(std::span<const std::byte> bytes,
+                   std::span<img::GrayA8> dst, const BlockGeometry& geom,
+                   Set&& set, Clear&& clear, BlankCells&& blank_cells,
+                   FullCells&& full_cells) {
     wire::WireReader r(bytes);
     const std::uint32_t n_codes = r.u32("TRLE code count");
     const std::span<const std::byte> codes =
@@ -337,6 +314,14 @@ class TrleCodec final : public Codec {
       pay_i += 2;
       return p;
     };
+    // One template bit at span index i.
+    const auto visit = [&](std::int64_t i, unsigned bit) {
+      if (tmpl & bit) {
+        set(static_cast<std::size_t>(i), take_px());
+      } else {
+        clear(static_cast<std::size_t>(i));
+      }
+    };
 
     if (size != 0) {
       RTC_CHECK_MSG(geom.image_width > 0,
@@ -355,41 +340,37 @@ class TrleCodec final : public Codec {
               cy, w, first, last, [&](const CellPixels& cell) {
                 if (remaining == 0) fetch();
                 --remaining;
-                for (int b = 0; b < 4; ++b) {
-                  const std::int64_t i = cell.index[b];
-                  if (i < 0) continue;
-                  if (tmpl & (1u << b))
-                    set(static_cast<std::size_t>(i), take_px());
-                }
+                for (int b = 0; b < 4; ++b)
+                  if (cell.index[b] >= 0) visit(cell.index[b], 1u << b);
               });
           continue;
         }
         const std::int64_t row_base = cy * w - first;
+        img::GrayA8* const row0 =
+            dst.data() + static_cast<std::size_t>(row_base);
+        img::GrayA8* const row1 = row0 + w;
         int cx = 0;
         while (cx + 1 < w) {
           if (remaining == 0) fetch();
+          const int n_full = (w - cx) / 2;
+          const int k = remaining < n_full ? remaining : n_full;
           if (tmpl == 0) {
-            // Bulk-skip blank cells: consume the run against this
-            // row's full cells without touching payload or dst.
-            const int n_full = (w - cx) / 2;
-            const int k = remaining < n_full ? remaining : n_full;
+            // A blank run: consume it against this row's full cells
+            // without touching payload.
+            blank_cells(row0 + cx, row1 + cx, static_cast<std::size_t>(k));
             remaining -= k;
             cx += 2 * k;
             continue;
           }
-          if (tmpl == kTemplateMask && remaining > 0) {
-            // Bulk-blend full cells: the run's payload is k cells of
-            // 4 pixels, vectorized straight into both rows. On a
-            // truncated payload fall through to the per-pixel path so
-            // the partial-write + error behavior matches walk().
-            const int n_full = (w - cx) / 2;
-            const int k = remaining < n_full ? remaining : n_full;
+          if (tmpl == kTemplateMask) {
+            // A full run: k cells of 4 payload pixels into both rows.
+            // On a truncated payload fall through to the per-pixel
+            // path, so the partial writes and the error match a
+            // cell-by-cell walk.
             const std::size_t need = static_cast<std::size_t>(k) * 8;
             if (pay_i + need <= payload.size()) {
-              img::GrayA8* base =
-                  dst.data() + static_cast<std::size_t>(row_base + cx);
-              fused(base, base + w, payload.data() + pay_i,
-                    static_cast<std::size_t>(k));
+              full_cells(row0 + cx, row1 + cx, payload.data() + pay_i,
+                         static_cast<std::size_t>(k));
               pay_i += need;
               remaining -= k;
               cx += 2 * k;
@@ -398,25 +379,21 @@ class TrleCodec final : public Codec {
           }
           --remaining;
           const std::int64_t base = row_base + cx;
-          if (tmpl & 1u) set(static_cast<std::size_t>(base), take_px());
-          if (tmpl & 2u)
-            set(static_cast<std::size_t>(base + 1), take_px());
-          if (tmpl & 4u)
-            set(static_cast<std::size_t>(base + w), take_px());
-          if (tmpl & 8u)
-            set(static_cast<std::size_t>(base + w + 1), take_px());
+          visit(base, 1u);
+          visit(base + 1, 2u);
+          visit(base + w, 4u);
+          visit(base + w + 1, 8u);
           cx += 2;
         }
         if (cx < w) {
           // Odd width: the row's last cell covers x = cx only; bits
           // 1/3 address out-of-image pixels and carry no payload
-          // (matching the generic walk's index < 0 skip).
+          // (matching the generic enumeration's index < 0 skip).
           if (remaining == 0) fetch();
           --remaining;
           const std::int64_t base = row_base + cx;
-          if (tmpl & 1u) set(static_cast<std::size_t>(base), take_px());
-          if (tmpl & 4u)
-            set(static_cast<std::size_t>(base + w), take_px());
+          visit(base, 1u);
+          visit(base + w, 4u);
         }
       }
     }

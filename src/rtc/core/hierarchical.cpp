@@ -2,7 +2,9 @@
 #include "rtc/core/hierarchical.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 
@@ -61,10 +63,8 @@ class Hierarchical final : public Compositor {
     inter_opt.root = 0;
     inter_opt.coherence = nullptr;
 
-    const std::unique_ptr<Compositor> intra =
-        compositing::make_compositor(opt.hier_intra);
-    const std::unique_ptr<Compositor> inter =
-        compositing::make_compositor(opt.hier_inter);
+    const Compositor& intra = level(opt.hier_intra);
+    const Compositor& inter = level(opt.hier_inter);
 
     // Level 1: contiguous groups [k*g, min(P, (k+1)*g)) — contiguity
     // preserves depth order, and ascending members is what set_group's
@@ -77,7 +77,7 @@ class Hierarchical final : public Compositor {
     std::iota(group_view.members.begin(), group_view.members.end(), lo);
 
     comm.set_group(&group_view);
-    img::Image group_img = intra->run_core(comm, partial, intra_opt);
+    img::Image group_img = intra.run_core(comm, partial, intra_opt);
     comm.set_group(nullptr);
 
     if (r != lo) return img::Image{};  // non-leaders are done
@@ -95,10 +95,24 @@ class Hierarchical final : public Compositor {
       return group_img;
     }
     comm.set_group(&leader_view);
-    img::Image out = inter->run_core(comm, group_img, inter_opt);
+    img::Image out = inter.run_core(comm, group_img, inter_opt);
     comm.set_group(nullptr);
     return out;
   }
+
+ private:
+  /// The compositor running level method `method`. Every rank of a run
+  /// shares this object, so it makes each level's compositor once and
+  /// each level builds its schedule once per group size.
+  [[nodiscard]] const Compositor& level(const std::string& method) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<Compositor>& c = levels_[method];
+    if (c == nullptr) c = compositing::make_compositor(method);
+    return *c;
+  }
+
+  mutable std::mutex mu_;
+  mutable std::map<std::string, std::unique_ptr<Compositor>> levels_;
 };
 
 }  // namespace

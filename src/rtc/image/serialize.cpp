@@ -1,16 +1,23 @@
 #include "rtc/image/serialize.hpp"
 
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
+
 #include "rtc/common/wire.hpp"
 
 namespace rtc::img {
 
+// GrayA8 is laid out as (value, alpha) bytes, so a pixel run is its own
+// wire image on every host.
+static_assert(sizeof(GrayA8) == kBytesPerPixel);
+static_assert(offsetof(GrayA8, v) == 0 && offsetof(GrayA8, a) == 1);
+static_assert(std::is_trivially_copyable_v<GrayA8>);
+
 void serialize_pixels_into(std::span<const GrayA8> px,
                            std::vector<std::byte>& out) {
-  out.reserve(out.size() + px.size() * kBytesPerPixel);
-  for (const GrayA8 p : px) {
-    out.push_back(static_cast<std::byte>(p.v));
-    out.push_back(static_cast<std::byte>(p.a));
-  }
+  const std::span<const std::byte> bytes = std::as_bytes(px);
+  out.insert(out.end(), bytes.data(), bytes.data() + bytes.size());
 }
 
 std::vector<std::byte> serialize_pixels(std::span<const GrayA8> px) {
@@ -24,10 +31,7 @@ void deserialize_pixels(std::span<const std::byte> bytes,
   wire::require(bytes.size() == px.size() * kBytesPerPixel,
                 wire::DecodeError::Kind::kMismatch,
                 "raw pixel payload size");
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    px[i].v = static_cast<std::uint8_t>(bytes[2 * i]);
-    px[i].a = static_cast<std::uint8_t>(bytes[2 * i + 1]);
-  }
+  if (!bytes.empty()) std::memcpy(px.data(), bytes.data(), bytes.size());
 }
 
 }  // namespace rtc::img

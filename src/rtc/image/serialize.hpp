@@ -2,6 +2,8 @@
 //
 // Each GrayA8 pixel serializes to two bytes (value, alpha) — the same
 // per-pixel footprint the paper assumes when charging transmission cost.
+// That is GrayA8's own layout (pinned by static_asserts), so both
+// directions are one memcpy.
 #pragma once
 
 #include <cstddef>

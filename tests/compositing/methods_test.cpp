@@ -10,6 +10,7 @@
 #include <string>
 #include <tuple>
 
+#include "rtc/frames/coherence.hpp"
 #include "rtc/harness/experiment.hpp"
 #include "rtc/image/ops.hpp"
 #include "testutil.hpp"
@@ -148,6 +149,66 @@ TEST(Methods, RootAssemblyPlacesEveryPixel) {
   const auto partials = make_partials(7, 33, 9, 0.0, /*binary=*/true);
   const img::Image got = run_gathered("rt_2n", 4, "", partials);
   for (const img::GrayA8 px : got.pixels()) EXPECT_EQ(px.a, 255);
+}
+
+struct PinnedMethod {
+  const char* method;
+  int blocks;
+  std::vector<int> ranks;  ///< the counts in {1, 3, 5, 8, 12} it allows
+  bool schedule;           ///< also runs with aggregate_messages
+  std::uint64_t hash;
+};
+
+TEST(Methods, GatheredImagesArePinned) {
+  // The translucent tests above only bound the rounding error, so they
+  // cannot tell a byte-identical refactor from one that reorders a
+  // blend. This pins the gathered bytes instead: per method, the
+  // FNV-1a hashes (frames::hash_pixels) of every gathered image across
+  // P, codec, blend and message aggregation fold into one constant.
+  // Odd P leaves idle copies, so some ranks own final blocks they never
+  // received into. A wall-clock change must leave every constant as it
+  // is; only a deliberate change to blend order or arithmetic may move
+  // one.
+  const std::vector<PinnedMethod> methods = {
+      {"rt_n", 3, {1, 8, 12}, true, 0x2b22bebbe13ce7e3ull},
+      {"rt_2n", 4, {1, 3, 5, 8, 12}, true, 0x452f7db06d9dbe7bull},
+      {"rt", 3, {1, 3, 5, 8, 12}, true, 0xa7d3d5434a656307ull},
+      {"bswap", 1, {1, 8}, true, 0x2ebe579dfd7213e3ull},
+      {"bswap_any", 1, {1, 3, 5, 8, 12}, true, 0x10535a7cd912b397ull},
+      {"direct", 1, {1, 3, 5, 8, 12}, true, 0x8bdf394323cdb3ull},
+      {"radix", 4, {1, 3, 5, 8, 12}, false, 0x93755b3fbab98ddbull},
+      {"pp", 1, {1, 3, 5, 8, 12}, false, 0xef4219e8e24d5007ull},
+      {"pp_exact", 1, {1, 3, 5, 8, 12}, false, 0x21957601f83c375full},
+      {"hier", 2, {1, 3, 5, 8, 12}, false, 0xaec1048b67eb43d3ull},
+  };
+  for (const PinnedMethod& m : methods) {
+    std::uint64_t fold = 1469598103934665603ull;
+    for (const int p : m.ranks) {
+      const auto partials = make_partials(p, 37, 23, 0.2, /*binary=*/false);
+      for (const char* codec : {"", "trle"}) {
+        for (const img::BlendMode blend :
+             {img::BlendMode::kOver, img::BlendMode::kMax}) {
+          for (const bool aggregate : {false, true}) {
+            if (aggregate && !m.schedule) continue;
+            harness::CompositionConfig cfg;
+            cfg.method = m.method;
+            cfg.initial_blocks = m.blocks;
+            cfg.codec = codec;
+            cfg.gather = true;
+            cfg.blend = blend;
+            cfg.aggregate_messages = aggregate;
+            const img::Image got =
+                harness::run_composition(cfg, partials).image;
+            ASSERT_EQ(got.pixel_count(), 37 * 23)
+                << m.method << " P=" << p << " codec=" << codec;
+            fold = (fold ^ frames::hash_pixels(got.pixels())) *
+                   1099511628211ull;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(fold, m.hash) << m.method << ": 0x" << std::hex << fold;
+  }
 }
 
 }  // namespace

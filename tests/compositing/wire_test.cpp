@@ -65,15 +65,15 @@ TEST(Wire, GatherSpansAssemblesDisjointPieces) {
   comm::World world(p, comm::NetworkModel{});
   std::vector<img::Image> results(static_cast<std::size_t>(p));
   world.run([&](comm::Comm& c) {
-    img::Image local(w, h);
-    const std::int64_t n = local.pixel_count();
+    const std::int64_t n = std::int64_t{w} * h;
     const img::PixelSpan mine{c.rank() * n / p,
                               (c.rank() + 1) * n / p};
-    for (std::int64_t i = mine.begin; i < mine.end; ++i)
-      local.pixels()[static_cast<std::size_t>(i)] =
-          img::GrayA8{static_cast<std::uint8_t>(c.rank() + 1), 255};
+    // Each rank holds only its own piece.
+    const std::vector<img::GrayA8> piece(
+        static_cast<std::size_t>(mine.size()),
+        img::GrayA8{static_cast<std::uint8_t>(c.rank() + 1), 255});
     results[static_cast<std::size_t>(c.rank())] =
-        gather_spans(c, local, mine, /*root=*/2, w, h);
+        gather_spans(c, mine, piece, /*root=*/2, w, h);
   });
   for (int r = 0; r < p; ++r) {
     if (r != 2) {
