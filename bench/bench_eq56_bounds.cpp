@@ -38,7 +38,9 @@ int main(int argc, char** argv) {
     mp.image_pixels =
         static_cast<std::int64_t>(o.image_size) * o.image_size;
     mp.net = o.net;
-    const std::string key = "p" + std::to_string(p);
+    // Appended, not "p" + ...: GCC 12 -Wrestrict misfires on that.
+    std::string key = "p";
+    key += std::to_string(p);
     values.emplace_back(key + "/eq5",
                         costmodel::eq5_bound(a_wire, o.net, p));
     values.emplace_back(key + "/eq6",

@@ -151,7 +151,9 @@ int main(int argc, char** argv) {
                 harness::Table::num(v_bswap, 4),
                 harness::Table::num(v_rt, 4),
                 harness::Table::num(v_hier, 4)});
-    const std::string tag = "p" + std::to_string(p);
+    // Appended, not "p" + ...: GCC 12 -Wrestrict misfires on that.
+    std::string tag = "p";
+    tag += std::to_string(p);
     golden.emplace_back(tag + "/direct", v_direct);
     golden.emplace_back(tag + "/bswap_any", v_bswap);
     golden.emplace_back(tag + "/rt4", v_rt);

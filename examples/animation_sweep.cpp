@@ -14,7 +14,9 @@
 #include "example_args.hpp"
 #include "rtc/frames/pipeline.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   frames::PipelineConfig cfg;
   cfg.dataset = argc > 1 ? argv[1] : "engine";
@@ -36,4 +38,10 @@ int main(int argc, char** argv) {
             << "\n\n";
   frames::print_sequence(std::cout, cfg, seq);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -15,7 +15,9 @@
 #include "rtc/render/renderer.hpp"
 #include "rtc/volume/phantom.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string dataset = argc > 1 ? argv[1] : "head";
   const int ranks = examples::arg_int(argc, argv, 2, "ranks", 8);
@@ -59,4 +61,10 @@ int main(int argc, char** argv) {
             << " MB TRLE-compressed on the wire\n"
             << "wrote " << path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -3,6 +3,7 @@
 // compares RLE vs TRLE sizes on a real rendered partial image.
 #include <iostream>
 
+#include "example_args.hpp"
 #include "rtc/compress/codec.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/image/serialize.hpp"
@@ -28,9 +29,7 @@ void print_codes(const std::vector<std::byte>& stream) {
   }
 }
 
-}  // namespace
-
-int main() {
+int run(int /*argc*/, char** /*argv*/) {
   // --- The Figure 4 idea on a toy image ------------------------------
   // Two scanlines, 24 pixels each; all-solid except two notches, gray
   // values all different (the case where classic RLE fails).
@@ -70,4 +69,10 @@ int main() {
             << "  RLE  " << r << " B  (" << (raw + r - 1) / r << "x)\n"
             << "  TRLE " << t << " B  (" << (raw + t - 1) / t << "x)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

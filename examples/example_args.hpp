@@ -4,11 +4,14 @@
 // but the parsing contract is the same as the CLI and benches
 // (rtc/common/flags.hpp): a malformed number is a usage error naming
 // the argument — never a silent std::stoi truncation or an unhandled
-// throw.
+// throw. An argument the library rejects (an unknown dataset, an
+// output directory that cannot be written) ends the example the way it
+// ends rtcomp: "error: <what>" and exit code 1 (run_example).
 #pragma once
 
 #include <climits>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -44,6 +47,17 @@ inline double arg_double(int argc, char** argv, int index,
     std::exit(2);
   }
   return *v;
+}
+
+/// Runs an example's body; an exception escaping it prints
+/// "error: <what>" and returns 1 instead of aborting the process.
+inline int run_example(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace rtc::examples

@@ -14,7 +14,9 @@
 #include "rtc/harness/scene.hpp"
 #include "rtc/harness/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string dataset = argc > 1 ? argv[1] : "engine";
   const int ranks = examples::arg_int(argc, argv, 2, "ranks", 16);
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -15,10 +15,11 @@
 #include "rtc/harness/table.hpp"
 #include "rtc/image/io.hpp"
 #include "rtc/image/ops.hpp"
-#include "rtc/partition/partition.hpp"
 #include "rtc/render/renderer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string dataset = argc > 1 ? argv[1] : "head";
   const int ranks = examples::arg_int(argc, argv, 2, "ranks", 8);
@@ -27,20 +28,11 @@ int main(int argc, char** argv) {
   const harness::Scene scene =
       harness::make_scene(dataset, /*volume_n=*/96, /*image_size=*/512);
 
-  // Render MIP partials per slab (render_partials uses "over", so do
-  // the partition + MIP render by hand here).
-  const render::Vec3 d = scene.camera.direction();
-  const int axis = render::principal_axis(d);
-  const auto bricks = part::slab_1d(scene.volume.bounds(), ranks, axis);
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
-  std::vector<img::Image> partials;
-  for (int r = 0; r < ranks; ++r)
-    partials.push_back(render::render_raycast(
-        scene.volume, scene.tf,
-        bricks[static_cast<std::size_t>(
-            order[static_cast<std::size_t>(r)])],
-        scene.camera, render::RenderMode::kMip));
+  // Ray-cast MIP partials, one per slab.
+  const std::vector<img::Image> partials =
+      harness::render_scene(scene, ranks, harness::PartitionKind::kSlab1D,
+                            "raycast", render::RenderMode::kMip)
+          .partials;
 
   const img::Image reference =
       img::composite_reference(partials, img::BlendMode::kMax);
@@ -70,4 +62,10 @@ int main(int argc, char** argv) {
   img::write_pgm(final_image, out_dir + "/mip_" + dataset + ".pgm");
   std::cout << "\nwrote " << out_dir << "/mip_" << dataset << ".pgm\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -8,11 +8,14 @@
 #include <iostream>
 #include <string>
 
+#include "example_args.hpp"
 #include "rtc/harness/experiment.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/image/io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
@@ -48,4 +51,10 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_dir << "/quickstart_final.pgm and "
             << partials.size() << " partial images\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -17,7 +17,9 @@
 #include "rtc/image/io.hpp"
 #include "rtc/image/ops.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string dataset = argc > 1 ? argv[1] : "engine";
   const int ranks = examples::arg_int(argc, argv, 2, "ranks", 8);
@@ -79,4 +81,10 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nwrote one PGM per view into " << out_dir << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

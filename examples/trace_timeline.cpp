@@ -15,7 +15,9 @@
 #include "rtc/harness/table.hpp"
 #include "rtc/harness/trace.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rtc;
   const std::string method = argc > 1 ? argv[1] : "rt_2n";
   const int ranks = examples::arg_int(argc, argv, 2, "ranks", 8);
@@ -61,4 +63,10 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << out
             << " (load in ui.perfetto.dev or chrome://tracing)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rtc::examples::run_example(run, argc, argv);
 }

@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
 # Builds the comm substrate and the chaos suite under ThreadSanitizer
 # (and optionally AddressSanitizer / UndefinedBehaviorSanitizer) and
-# runs the concurrency-sensitive tests. The World runs one real thread
-# per rank, so TSan is the authoritative race check for the
-# mailbox/death/barrier paths — including the fault-injection ones
-# that crash ranks mid-run. The address and undefined modes also cover
+# runs the concurrency-sensitive tests. The thread mode runs them under
+# RTC_EXECUTOR=threaded, one real thread per rank, so TSan is the
+# authoritative race check for the mailbox/death/barrier paths —
+# including the fault-injection ones that crash ranks mid-run. Under
+# the pooled executor (the default) ranks are fibers: every fiber
+# switch synchronizes (__tsan_switch_to_fiber with flags 0) and park,
+# wake and finish take the one pool mutex, so TSan misses a race
+# between ranks once they have exchanged a message. The two tests that
+# need more ranks than the threaded executor's cap select the pooled
+# executor themselves. The address and undefined modes run the default
+# pooled executor, whose fiber stacks they check. They also cover
 # the SIMD kernel/codec suites: vector loads with scalar tails are
 # exactly where an off-by-one reads past a span. The quality-ladder
 # suite runs in every mode: the approximate blend's skip loop and the
@@ -30,8 +37,9 @@ run_mode() {
   local san="$1"
   local tests="$2"
   local extra_targets="$3"
+  local executor="$4"
   local dir="${BUILD_DIR:-build}-$san"
-  echo "== RTC_SANITIZE=$san =="
+  echo "== RTC_SANITIZE=$san, RTC_EXECUTOR=$executor =="
   cmake -B "$dir" -S . -DRTC_SANITIZE="$san" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   # shellcheck disable=SC2086  # extra_targets is a word list
@@ -41,18 +49,18 @@ run_mode() {
         executor_test hierarchical_test quality_test $extra_targets
   # Same per-test timeout CI uses: a sanitizer-found deadlock should
   # fail the run, not hang it.
-  (cd "$dir" && ctest --output-on-failure -j "$(nproc)" --timeout 120 \
-       -R "$tests")
+  (cd "$dir" && RTC_EXECUTOR="$executor" \
+       ctest --output-on-failure -j "$(nproc)" --timeout 120 -R "$tests")
 }
 
 case "$MODE" in
-  thread)    run_mode thread "$THREAD_TESTS" "" ;;
-  address)   run_mode address "$MEMORY_TESTS" "$MEMORY_TARGETS" ;;
-  undefined) run_mode undefined "$MEMORY_TESTS" "$MEMORY_TARGETS" ;;
+  thread)    run_mode thread "$THREAD_TESTS" "" threaded ;;
+  address)   run_mode address "$MEMORY_TESTS" "$MEMORY_TARGETS" pooled ;;
+  undefined) run_mode undefined "$MEMORY_TESTS" "$MEMORY_TARGETS" pooled ;;
   all)
-    run_mode thread "$THREAD_TESTS" ""
-    run_mode address "$MEMORY_TESTS" "$MEMORY_TARGETS"
-    run_mode undefined "$MEMORY_TESTS" "$MEMORY_TARGETS"
+    run_mode thread "$THREAD_TESTS" "" threaded
+    run_mode address "$MEMORY_TESTS" "$MEMORY_TARGETS" pooled
+    run_mode undefined "$MEMORY_TESTS" "$MEMORY_TARGETS" pooled
     ;;
   *) echo "usage: $0 [thread|address|undefined|all]" >&2; exit 2 ;;
 esac

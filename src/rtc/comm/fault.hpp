@@ -166,6 +166,15 @@ struct FaultPlan {
   [[nodiscard]] bool enabled() const {
     return any_wire_faults() || !crashes.empty() || any_fail_slow();
   }
+  /// The chronic part: fail-slow faults model a degraded node, not an
+  /// event, so slows, jitters and their seed apply on every frame.
+  [[nodiscard]] FaultPlan chronic() const {
+    FaultPlan p;
+    p.seed = seed;
+    p.slows = slows;
+    p.jitters = jitters;
+    return p;
+  }
 };
 
 /// Everything the injector decided about one message, resolved at send

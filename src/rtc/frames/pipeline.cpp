@@ -7,51 +7,86 @@
 
 #include "rtc/common/check.hpp"
 #include "rtc/comm/stale.hpp"
+#include "rtc/comm/world.hpp"
 #include "rtc/core/schedule.hpp"
 #include "rtc/frames/coherence.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/harness/table.hpp"
-#include "rtc/partition/partition.hpp"
 #include "rtc/render/renderer.hpp"
 
 namespace rtc::frames {
 
 harness::RenderedScene render_view(const ViewSpec& view, int ranks,
                                    int& axis_out) {
-  RTC_CHECK_MSG(view.renderer == "shearwarp" || view.renderer == "raycast" ||
-                    view.renderer == "splat",
-                "unknown renderer '" + view.renderer +
-                    "' (expected shearwarp, raycast or splat)");
+  // An unknown renderer fails here, before the scene is built.
+  static_cast<void>(render::brick_renderer(view.renderer));
   const harness::Scene scene =
       harness::make_scene(view.dataset, view.volume_n, view.image_size,
                           view.yaw_deg, view.pitch_deg);
-  const render::Vec3 d = scene.camera.direction();
-  axis_out = render::principal_axis(d);
-  const auto bricks = part::balanced_slab_1d(scene.volume, scene.tf,
-                                             ranks, axis_out);
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
-
-  harness::RenderedScene rs;
-  for (int r = 0; r < ranks; ++r) {
-    const vol::Brick& brick =
-        bricks[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])];
-    rs.bricks.push_back(brick);
-    rs.solid_voxels.push_back(
-        part::solid_voxels(scene.volume, scene.tf, brick));
-    rs.total_voxels.push_back(brick.voxels());
-    if (view.renderer == "raycast") {
-      rs.partials.push_back(render::render_raycast(scene.volume, scene.tf,
-                                                   brick, scene.camera));
-    } else if (view.renderer == "splat") {
-      rs.partials.push_back(render::render_splat(scene.volume, scene.tf,
-                                                 brick, scene.camera));
-    } else {
-      rs.partials.push_back(render::render_shearwarp(
-          scene.volume, scene.tf, brick, scene.camera));
-    }
-  }
+  harness::RenderedScene rs = harness::render_scene(
+      scene, ranks, harness::PartitionKind::kBalanced1D, view.renderer);
+  axis_out = render::principal_axis(scene.camera.direction());
   return rs;
+}
+
+obs::Span frame_span(obs::SpanKind kind, int frame, double begin,
+                     double end) {
+  obs::Span s;
+  s.kind = kind;
+  s.v_begin = begin;
+  s.v_end = end;
+  s.frame = frame;
+  return s;
+}
+
+harness::CompositionConfig FrameStep::config(int frame, quality::Rung rung,
+                                             CoherenceCache* coherence,
+                                             comm::StaleStore* stale) const {
+  harness::CompositionConfig c = comp_;
+  c.frame_id = frame;
+  // Frame f's wire sequence numbers live in their own epoch window, so
+  // a stale duplicate of frame f-1 can never alias into frame f
+  // (epoch_reset_test pins the disjointness). The epoch has
+  // 32 - kSeqEpochBits bits; wrapping keeps temporally adjacent
+  // frames' windows disjoint, which is all the dedup window needs.
+  constexpr std::uint32_t kEpochMask =
+      (std::uint32_t{1} << (32 - comm::World::kSeqEpochBits)) - 1;
+  c.seq_epoch = static_cast<std::uint32_t>(frame) & kEpochMask;
+  c.quality_rung = rung;
+  c.coherence = coherence;
+  c.stale = c.deadline > 0.0 ? stale : nullptr;
+  if (frame != fault_frame_) c.fault = comp_.fault.chronic();
+  return c;
+}
+
+FrameTiming FrameStep::admit(double render_time, double composite_time,
+                             double earliest_start,
+                             std::vector<obs::Span>* spans) {
+  const FrameTiming t =
+      sched_.admit(render_time, composite_time, earliest_start);
+  if (spans != nullptr) {
+    spans->push_back(frame_span(obs::SpanKind::kRender, t.frame,
+                                t.render_start, t.render_end));
+    if (t.queue_wait() > 0.0)
+      spans->push_back(frame_span(obs::SpanKind::kQueueWait, t.frame,
+                                  t.render_end, t.composite_start));
+    spans->push_back(frame_span(obs::SpanKind::kCompute, t.frame,
+                                t.composite_start, t.composite_end));
+  }
+  return t;
+}
+
+bool FrameStep::drop_dead(const comm::RunStats& stats) {
+  if (comp_.resilience.on_peer_loss !=
+      comm::ResiliencePolicy::PeerLoss::kRecompose)
+    return false;
+  const int dead = static_cast<int>(stats.dead_ranks().size());
+  if (dead == 0) return false;
+  ranks_ -= dead;
+  RTC_CHECK_MSG(ranks_ >= 1, "every rank died; nothing left to render");
+  ranks_lost_ += dead;
+  comp_.method = core::any_p_method(comp_.method, ranks_);
+  return true;
 }
 
 namespace {
@@ -69,41 +104,24 @@ ViewSpec sweep_view(const PipelineConfig& cfg, double yaw_deg) {
   return v;
 }
 
-/// One pipeline-level span (frame-stamped, virtual clock only).
-obs::Span pipeline_span(obs::SpanKind kind, int frame, double begin,
-                        double end) {
-  obs::Span s;
-  s.kind = kind;
-  s.v_begin = begin;
-  s.v_end = end;
-  s.frame = frame;
-  return s;
-}
-
 }  // namespace
 
 SequenceResult run_sequence(const PipelineConfig& cfg) {
   RTC_CHECK_MSG(cfg.frames >= 1, "need at least one frame");
   RTC_CHECK_MSG(cfg.ranks >= 1, "need at least one rank");
 
+  harness::CompositionConfig comp = cfg.comp;
+  comp.sink = cfg.sink;
+  if (cfg.sink != nullptr) comp.gather = true;
+  comp.deadline = cfg.deadline;
+  FrameStep step(std::move(comp), cfg.ranks, cfg.fault_frame,
+                 cfg.max_in_flight);
   CoherenceCache cache(cfg.ranks);
   // Receiver-side staleness store, the deadline's substitution source;
   // like the coherence cache it persists across the per-frame Worlds.
   comm::StaleStore stale(cfg.ranks);
-  FrameScheduler sched(cfg.max_in_flight);
   SequenceResult out;
   out.frames.reserve(static_cast<std::size_t>(cfg.frames));
-
-  // Self-healing across frames: under kRecompose a rank that crashes
-  // at frame k stays dead for the rest of the sequence — later frames
-  // re-partition the volume over the survivors, so only frame k itself
-  // misses the dead rank's sub-volume. Every other policy keeps the
-  // legacy per-frame isolation (each frame's World revives all ranks).
-  const bool self_heal =
-      cfg.comp.resilience.on_peer_loss ==
-      comm::ResiliencePolicy::PeerLoss::kRecompose;
-  int ranks_eff = cfg.ranks;
-  std::string method_eff = cfg.comp.method;
 
   // Quality ladder: one controller for the whole sequence, stepped by
   // the previous frame's pressure (deadline misses, stragglers, peer
@@ -120,7 +138,7 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
     FrameResult fr;
     fr.yaw_deg = yaw;
     const harness::RenderedScene rs =
-        render_view(sweep_view(cfg, yaw), ranks_eff, fr.axis);
+        render_view(sweep_view(cfg, yaw), step.ranks(), fr.axis);
     fr.render_time = harness::render_stage_time(rs);
 
     // Pick this frame's rung and re-enforce the error contract against
@@ -139,7 +157,7 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
       fr.run.image = serve_stale
                          ? last_good
                          : img::Image(cfg.image_size, cfg.image_size);
-      fr.run.stats.ranks.resize(static_cast<std::size_t>(ranks_eff));
+      fr.run.stats.ranks.resize(static_cast<std::size_t>(step.ranks()));
       fr.run.stats.quality_rung = static_cast<int>(rung.rung);
       fr.run.stats.error_bound = rung.bound;
       const img::Image ref =
@@ -155,7 +173,7 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
         cfg.sink->end_frame(f);
       }
       fr.composite_time = 0.0;
-      fr.timing = sched.admit(fr.render_time, fr.composite_time);
+      fr.timing = step.admit(fr.render_time, 0.0, 0.0, nullptr);
       out.quality_frames += 1;
       out.quality_floor =
           std::max(out.quality_floor, static_cast<int>(rung.rung));
@@ -163,9 +181,9 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
       if (fr.run.stats.max_pixel_error > out.max_pixel_error)
         out.max_pixel_error = fr.run.stats.max_pixel_error;
       const FrameTiming& ts = fr.timing;
-      out.pipeline_spans.push_back(pipeline_span(
+      out.pipeline_spans.push_back(frame_span(
           obs::SpanKind::kRender, f, ts.render_start, ts.render_end));
-      out.pipeline_spans.push_back(pipeline_span(
+      out.pipeline_spans.push_back(frame_span(
           obs::SpanKind::kCompute, f, ts.composite_start,
           ts.composite_end));
       out.frames.push_back(std::move(fr));
@@ -175,43 +193,15 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
       continue;
     }
 
-    harness::CompositionConfig c = cfg.comp;
-    c.quality_rung = rung.rung;
-    c.method = method_eff;
-    c.coherence = cfg.coherence ? &cache : nullptr;
-    c.sink = cfg.sink;
-    c.frame_id = f;
-    // Per-frame seq epoch: frame f's wire sequence numbers live in
-    // their own window, so a stale duplicate of frame f-1 can never
-    // alias into frame f (epoch_reset_test pins the disjointness).
-    c.seq_epoch = static_cast<std::uint32_t>(f);
-    if (cfg.sink != nullptr) c.gather = true;
-    c.deadline = cfg.deadline;
-    c.stale = cfg.deadline > 0.0 ? &stale : nullptr;
-    // Fault isolation: the injected wire/crash schedule applies to
-    // exactly one frame's World; every other frame runs free of those.
-    // Fail-slow faults are chronic (a degraded node, not an event), so
-    // slowdowns and jitter — and the seed their coins hang off —
-    // survive the reset and apply on every frame.
-    if (f != cfg.fault_frame) {
-      comm::FaultPlan chronic;
-      chronic.seed = c.fault.seed;
-      chronic.slows = c.fault.slows;
-      chronic.jitters = c.fault.jitters;
-      c.fault = std::move(chronic);
-    }
-
     if (cfg.sink != nullptr)
       cfg.sink->begin_frame(f, cfg.image_size, cfg.image_size);
-    fr.run = harness::run_composition(c, rs.partials);
+    fr.run = harness::run_composition(
+        step.config(f, rung.rung, cfg.coherence ? &cache : nullptr, &stale),
+        rs.partials);
     if (cfg.sink != nullptr) cfg.sink->end_frame(f);
-
-    // Under a deadline the frame is *delivered* when the gather root
-    // finishes — the straggler's own clock legitimately runs past the
-    // deadline, but the pipeline advances on delivery.
-    fr.composite_time =
-        cfg.deadline > 0.0 ? fr.run.delivery_time : fr.run.time;
-    fr.timing = sched.admit(fr.render_time, fr.composite_time);
+    fr.composite_time = step.composite_time(fr.run);
+    fr.timing = step.admit(fr.render_time, fr.composite_time, 0.0,
+                           &out.pipeline_spans);
 
     out.coherence_hits += fr.run.stats.total_coherence_hits();
     out.coherence_misses += fr.run.stats.total_coherence_misses();
@@ -246,44 +236,19 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
     out.recomposes += fr.run.stats.total_recomposes();
     if (fr.run.stats.max_membership_epoch() > out.max_epoch)
       out.max_epoch = fr.run.stats.max_membership_epoch();
-    if (self_heal) {
-      const std::vector<int> dead = fr.run.stats.dead_ranks();
-      if (!dead.empty()) {
-        ranks_eff -= static_cast<int>(dead.size());
-        RTC_CHECK_MSG(ranks_eff >= 1,
-                      "every rank died; nothing left to render");
-        out.ranks_lost += static_cast<int>(dead.size());
-        // The cache is sized to the rank count and keyed by (rank,
-        // block); the survivor renumbering invalidates both, so start
-        // cold at the new size — correctness never depends on cache
-        // state, only traffic does.
-        cache = CoherenceCache(ranks_eff);
-        // Same argument receiver-side: the renumbering re-keys every
-        // (src, tag, occurrence) slot, so stale content from the old
-        // numbering must never substitute into the new one.
-        stale = comm::StaleStore(ranks_eff);
-        // Later frames run ungrouped at the survivor count, so a
-        // method whose applicability rule breaks there falls back to
-        // its any-P sibling — the same one the in-frame grouped
-        // recomposition runs.
-        method_eff = core::any_p_method(method_eff, ranks_eff);
-      }
+    if (step.drop_dead(fr.run.stats)) {
+      // The survivor renumbering re-keys every cache and stale slot, so
+      // both restart cold at the new size: correctness never depends on
+      // their state, only traffic does.
+      cache = CoherenceCache(step.ranks());
+      stale = comm::StaleStore(step.ranks());
     }
-
-    const FrameTiming& t = fr.timing;
-    out.pipeline_spans.push_back(pipeline_span(
-        obs::SpanKind::kRender, f, t.render_start, t.render_end));
-    if (t.queue_wait() > 0.0)
-      out.pipeline_spans.push_back(pipeline_span(
-          obs::SpanKind::kQueueWait, f, t.render_end, t.composite_start));
-    out.pipeline_spans.push_back(pipeline_span(
-        obs::SpanKind::kCompute, f, t.composite_start, t.composite_end));
-
     out.frames.push_back(std::move(fr));
   }
 
-  out.makespan = sched.makespan();
-  out.total_queue_wait = sched.total_queue_wait();
+  out.ranks_lost = step.ranks_lost();
+  out.makespan = step.scheduler().makespan();
+  out.total_queue_wait = step.scheduler().total_queue_wait();
   return out;
 }
 

@@ -12,15 +12,22 @@
 // *self-healing*: a rank that crashes at frame k is removed from the
 // membership for good, and frames k+1... re-partition its sub-volume
 // among the survivors — they composite at full quality, bit-identical
-// to a from-scratch run over the survivor count. What the pipeline changes is the *timeline*: frame f+1's
-// render overlaps frame f's composition, so the sequence makespan
-// drops below the sum of per-frame times (bench_frame_pipeline pins
-// the gap).
+// to a from-scratch run over the survivor count. What the pipeline
+// changes is the *timeline*: frame f+1's render overlaps frame f's
+// composition, so the sequence makespan drops below the sum of
+// per-frame times (bench_frame_pipeline pins the gap).
+//
+// A frame is render_view → run_composition → placement on the
+// timeline. FrameStep is the part after rendering that run_sequence
+// and service::run_service share; each driver keeps what differs on
+// purpose (quality policy, stale/blank serves, caches, sinks,
+// sessions).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rtc/frames/scheduler.hpp"
@@ -40,17 +47,77 @@ struct ViewSpec {
   int image_size = 256;
   double yaw_deg = 0.0;
   double pitch_deg = 15.0;
-  std::string renderer = "shearwarp";  ///< shearwarp | raycast | splat
+  std::string renderer = "shearwarp";  ///< one of render::kRendererNames
 };
 
-/// Renders one view for `ranks` ranks: re-partition for the view (the
-/// principal axis can change as the camera moves), then render each
-/// rank's brick in visibility order. `ranks` is the *effective* rank
-/// count — under kRecompose a dead rank's slab is re-absorbed by
+/// Renders one view for `ranks` ranks: harness::render_scene over
+/// balanced slabs, re-partitioned per view (the principal axis can
+/// change as the camera moves). `ranks` is the *effective* rank count
+/// — under kRecompose a dead rank's slab is re-absorbed by
 /// balanced_slab_1d so later views stay full-quality. An unknown
 /// `view.renderer` throws ContractError before any work.
 [[nodiscard]] harness::RenderedScene render_view(const ViewSpec& view,
                                                  int ranks, int& axis_out);
+
+/// One pipeline-level span: frame-stamped, virtual clock only.
+[[nodiscard]] obs::Span frame_span(obs::SpanKind kind, int frame,
+                                   double begin, double end);
+
+/// The per-frame step of both frame drivers: the survivor set, each
+/// frame's CompositionConfig and its placement on the timeline.
+class FrameStep {
+ public:
+  /// `comp` is every frame's composition template. Its fault plan
+  /// applies whole only to frame `fault_frame` (-1: no frame); every
+  /// other frame runs its chronic part (FaultPlan::chronic).
+  FrameStep(harness::CompositionConfig comp, int ranks, int fault_frame,
+            int max_in_flight)
+      : comp_(std::move(comp)),
+        fault_frame_(fault_frame),
+        ranks_(ranks),
+        sched_(max_in_flight) {}
+
+  /// Surviving rank count: what the next frame renders and composes.
+  [[nodiscard]] int ranks() const { return ranks_; }
+  /// Ranks permanently removed so far (PeerLoss::kRecompose only).
+  [[nodiscard]] int ranks_lost() const { return ranks_lost_; }
+  [[nodiscard]] const FrameScheduler& scheduler() const { return sched_; }
+
+  /// Frame `frame`'s composition config at `rung` over the caller's
+  /// rank-keyed caches (nullptr: none); `stale` is used only under a
+  /// deadline. The wire seq epoch is `frame & 0xfff`.
+  [[nodiscard]] harness::CompositionConfig config(
+      int frame, quality::Rung rung, CoherenceCache* coherence,
+      comm::StaleStore* stale) const;
+
+  /// A composed frame's time on the pipeline: under a deadline the
+  /// gather root's delivery (a straggler's own clock may run past it),
+  /// otherwise the makespan.
+  [[nodiscard]] double composite_time(
+      const harness::CompositionRun& run) const {
+    return comp_.deadline > 0.0 ? run.delivery_time : run.time;
+  }
+
+  /// Admits the next frame no earlier than `earliest_start`; appends
+  /// its kRender, kQueueWait (when it waited) and kCompute spans to
+  /// `spans` unless that is nullptr.
+  FrameTiming admit(double render_time, double composite_time,
+                    double earliest_start, std::vector<obs::Span>* spans);
+
+  /// Under PeerLoss::kRecompose a rank that dies stays dead: drops the
+  /// ranks `stats` reports dead, and a method whose applicability rule
+  /// breaks at the survivor count falls back to its any-P sibling.
+  /// True when the set shrank: the caller's rank-keyed caches must then
+  /// restart at ranks().
+  bool drop_dead(const comm::RunStats& stats);
+
+ private:
+  harness::CompositionConfig comp_;
+  int fault_frame_;
+  int ranks_;
+  int ranks_lost_ = 0;
+  FrameScheduler sched_;
+};
 
 struct PipelineConfig {
   // Scene: a camera sweep over one of the paper's datasets.
@@ -62,7 +129,7 @@ struct PipelineConfig {
   double yaw0_deg = 0.0;     ///< first frame's yaw
   double sweep_deg = 360.0;  ///< total sweep; frame f is yaw0 + sweep*f/F
   double pitch_deg = 15.0;
-  std::string renderer = "shearwarp";  ///< shearwarp | raycast | splat
+  std::string renderer = "shearwarp";  ///< one of render::kRendererNames
 
   /// Per-frame composition settings (method, N, codec, network, trace,
   /// resilience). `fault` applies only at `fault_frame`; `frame_id`,

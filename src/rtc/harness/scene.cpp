@@ -4,7 +4,6 @@
 
 #include "rtc/common/check.hpp"
 #include "rtc/partition/partition.hpp"
-#include "rtc/render/renderer.hpp"
 #include "rtc/volume/phantom.hpp"
 
 namespace rtc::harness {
@@ -21,8 +20,10 @@ Scene make_scene(const std::string& dataset, int volume_n, int image_size,
 }
 
 RenderedScene render_scene(const Scene& scene, int ranks,
-                           PartitionKind kind, bool shearwarp) {
+                           PartitionKind kind, const std::string& renderer,
+                           render::RenderMode mode) {
   RTC_CHECK(ranks >= 1);
+  const render::BrickRenderer render_brick = render::brick_renderer(renderer);
   const render::Vec3 d = scene.camera.direction();
   const int c_ax = render::principal_axis(d);
   const vol::Brick bounds = scene.volume.bounds();
@@ -54,18 +55,14 @@ RenderedScene render_scene(const Scene& scene, int ranks,
         part::solid_voxels(scene.volume, scene.tf, brick));
     rs.total_voxels.push_back(brick.voxels());
     rs.partials.push_back(
-        shearwarp
-            ? render::render_shearwarp(scene.volume, scene.tf, brick,
-                                       scene.camera)
-            : render::render_raycast(scene.volume, scene.tf, brick,
-                                     scene.camera));
+        render_brick(scene.volume, scene.tf, brick, scene.camera, mode));
   }
   return rs;
 }
 
 std::vector<img::Image> render_partials(const Scene& scene, int ranks,
-                                        PartitionKind kind, bool shearwarp) {
-  return render_scene(scene, ranks, kind, shearwarp).partials;
+                                        PartitionKind kind) {
+  return render_scene(scene, ranks, kind).partials;
 }
 
 double render_stage_time(const RenderedScene& rs, double t_solid_voxel,

@@ -3,8 +3,11 @@
 // This is the paper's first two pipeline stages (data partitioning and
 // rendering) packaged for the composition experiments: pick a test
 // sample, partition the volume 1-D or 2-D, render each rank's brick
-// with shear-warp, and hand back the partial images in visibility
-// order (rank 0 front-most).
+// (shear-warp by default), and hand back the partial images in
+// visibility order (rank 0 front-most). render_scene is the one
+// partition-and-render loop: frames::render_view (the sweep and the
+// render service), rtcomp's single shot, the benches and the examples
+// all render through it.
 #pragma once
 
 #include <string>
@@ -12,6 +15,7 @@
 
 #include "rtc/image/image.hpp"
 #include "rtc/render/camera.hpp"
+#include "rtc/render/renderer.hpp"
 #include "rtc/volume/transfer.hpp"
 #include "rtc/volume/volume.hpp"
 
@@ -37,12 +41,6 @@ enum class PartitionKind {
   kBalanced1D   ///< workload-balanced slabs (companion paper [15])
 };
 
-/// Renders `ranks` partial images in front-to-back visibility order.
-/// `shearwarp` false selects the cross-check ray-caster instead.
-[[nodiscard]] std::vector<img::Image> render_partials(
-    const Scene& scene, int ranks, PartitionKind kind,
-    bool shearwarp = true);
-
 /// Everything the rendering stage produced, for whole-frame analyses.
 struct RenderedScene {
   std::vector<img::Image> partials;          ///< depth-ordered
@@ -51,9 +49,19 @@ struct RenderedScene {
   std::vector<std::int64_t> total_voxels;    ///< per rank brick size
 };
 
-[[nodiscard]] RenderedScene render_scene(const Scene& scene, int ranks,
-                                         PartitionKind kind,
-                                         bool shearwarp = true);
+/// Partitions the volume into `ranks` bricks along the view's principal
+/// axis and renders each with the renderer named `renderer` (one of
+/// render::kRendererNames; an unknown name throws ContractError before
+/// any work), in front-to-back visibility order.
+[[nodiscard]] RenderedScene render_scene(
+    const Scene& scene, int ranks, PartitionKind kind,
+    const std::string& renderer = "shearwarp",
+    render::RenderMode mode = render::RenderMode::kComposite);
+
+/// render_scene's partials alone: shear-warp, composite mode.
+[[nodiscard]] std::vector<img::Image> render_partials(const Scene& scene,
+                                                      int ranks,
+                                                      PartitionKind kind);
 
 /// Virtual render-stage time: the slowest rank under a two-term cost
 /// (per-solid-voxel compositing work + per-voxel traversal work) —

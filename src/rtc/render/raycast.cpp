@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include "rtc/common/check.hpp"
 #include "rtc/render/renderer.hpp"
@@ -13,6 +14,19 @@ int principal_axis(const Vec3& dir) {
   if (ax >= ay && ax >= az) return 0;
   if (ay >= ax && ay >= az) return 1;
   return 2;
+}
+
+BrickRenderer brick_renderer(const std::string& name) {
+  constexpr std::array<BrickRenderer, kRendererNames.size()> kRenderers = {
+      render_shearwarp, render_raycast, render_splat};
+  std::string expected;
+  for (std::size_t i = 0; i < kRendererNames.size(); ++i) {
+    if (name == kRendererNames[i]) return kRenderers[i];
+    if (i > 0) expected += i + 1 == kRendererNames.size() ? " or " : ", ";
+    expected += kRendererNames[i];
+  }
+  throw ContractError("unknown renderer '" + name + "' (expected " +
+                      expected + ")");
 }
 
 img::Image render_raycast(const vol::Volume& v,

@@ -1,4 +1,4 @@
-// The two volume renderers.
+// The volume renderers.
 //
 // render_shearwarp is the paper's rendering stage: the Lacroute-Levoy
 // shear-warp factorization over an RLE-classified volume (composite
@@ -6,11 +6,16 @@
 // render_raycast is an orthographic ray-caster that samples at the same
 // slice planes with the same in-slice bilinear filter; it exists to
 // cross-check the shear-warp output and as a simple reference renderer.
+// render_splat is a sheet-buffer splatter, a third workload.
 //
-// Both render only `region` (a rank's brick): voxels outside it are
+// All render only `region` (a rank's brick): voxels outside it are
 // transparent, producing the partial images the composition stage
-// merges. Both write premultiplied gray+alpha.
+// merges. All write premultiplied gray+alpha. brick_renderer() picks
+// one by name from kRendererNames, the one list of renderer names.
 #pragma once
+
+#include <array>
+#include <string>
 
 #include "rtc/image/image.hpp"
 #include "rtc/render/camera.hpp"
@@ -43,6 +48,18 @@ enum class RenderMode {
     const vol::Volume& v, const vol::TransferFunction& tf,
     const vol::Brick& region, const OrthoCamera& cam,
     RenderMode mode = RenderMode::kComposite);
+
+/// A per-brick renderer: render_shearwarp, render_raycast or
+/// render_splat.
+using BrickRenderer = decltype(&render_shearwarp);
+
+/// Names of the per-brick renderers, the default first.
+inline constexpr std::array<const char*, 3> kRendererNames = {
+    "shearwarp", "raycast", "splat"};
+
+/// The renderer called `name`; ContractError, naming the choices, for
+/// a name not in kRendererNames.
+[[nodiscard]] BrickRenderer brick_renderer(const std::string& name);
 
 /// Axis with the largest |direction| component (the shear-warp
 /// principal axis; also the slicing axis of the ray-caster).

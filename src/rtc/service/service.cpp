@@ -7,25 +7,11 @@
 #include <utility>
 
 #include "rtc/common/check.hpp"
-#include "rtc/core/schedule.hpp"
 #include "rtc/harness/scene.hpp"
 #include "rtc/harness/table.hpp"
 #include "rtc/quality/quality.hpp"
 
 namespace rtc::service {
-
-namespace {
-
-obs::Span interval(obs::SpanKind kind, int frame, double begin, double end) {
-  obs::Span s;
-  s.kind = kind;
-  s.v_begin = begin;
-  s.v_end = end;
-  s.frame = frame;
-  return s;
-}
-
-}  // namespace
 
 double ServiceResult::latency_mean() const {
   if (deliveries.empty()) return 0.0;
@@ -76,27 +62,22 @@ ServiceResult run_service(const ServiceConfig& cfg) {
   AdmissionController admission(cfg.admission, cfg.comp.record_spans,
                                 cfg.comp.quality);
   RequestBatcher batcher(cfg.quant_deg);
-  frames::FrameScheduler sched(cfg.max_in_flight);
 
-  ServiceResult out;
-  out.stats.ranks.resize(static_cast<std::size_t>(cfg.ranks));
-
-  // Self-healing across submissions (PeerLoss::kRecompose), exactly as
-  // in frames::run_sequence: a crashed rank stays dead, later
-  // submissions re-partition over the survivors, and methods whose
-  // applicability rule breaks at the survivor count fall back to their
-  // any-P siblings.
-  const bool self_heal =
-      cfg.comp.resilience.on_peer_loss ==
-      comm::ResiliencePolicy::PeerLoss::kRecompose;
   // An engaged quality ladder needs each submission's image — the
   // kStale class re-serves a session's last frame — so it forces
   // gathering even when the caller didn't ask to keep images. Gated on
   // engaged(): plain runs keep their timings (the gather stage is part
   // of the collective) byte-identical.
   const bool gather = cfg.comp.gather || cfg.comp.quality.engaged();
-  int ranks_eff = cfg.ranks;
-  std::string method_eff = cfg.comp.method;
+  harness::CompositionConfig comp = cfg.comp;
+  comp.gather = gather;
+  // Survivor set, per-submission config and timeline, shared with
+  // frames::run_sequence.
+  frames::FrameStep step(std::move(comp), cfg.ranks, cfg.fault_submission,
+                         cfg.max_in_flight);
+
+  ServiceResult out;
+  out.stats.ranks.resize(static_cast<std::size_t>(cfg.ranks));
 
   const auto all_idle = [&sessions]() {
     for (const Session& s : sessions)
@@ -118,7 +99,7 @@ ServiceResult run_service(const ServiceConfig& cfg) {
   while (true) {
     // Dispatch time: the pipeline's admission floor, fast-forwarded to
     // the next arrival when every queue is empty.
-    double t = sched.next_admission_floor();
+    double t = step.scheduler().next_admission_floor();
     pull_arrivals(t);
     if (all_idle()) {
       if (next == arrivals.size()) break;
@@ -134,13 +115,9 @@ ServiceResult run_service(const ServiceConfig& cfg) {
     Batch batch = batcher.next_batch(sessions);
     Session& lead = sessions[static_cast<std::size_t>(batch.lead.session)];
     if (cfg.comp.record_spans) {
-      obs::Span b;
-      b.kind = obs::SpanKind::kBatch;
+      obs::Span b = frames::frame_span(obs::SpanKind::kBatch, submission, t, t);
       b.step = lead.id();
       b.aux = batch.size();
-      b.v_begin = t;
-      b.v_end = t;
-      b.frame = submission;
       out.service_spans.push_back(b);
     }
 
@@ -152,34 +129,12 @@ ServiceResult run_service(const ServiceConfig& cfg) {
       if (static_cast<int>(s.queue.size()) * 2 <= s.config.queue_cap)
         s.quality_class = quality::step_up(s.quality_class);
     };
-
-    // The batch executes at its LEAD's quality class. Stale/blank
-    // classes never render or composite: the session's last delivered
-    // image (or a blank frame) goes out in zero virtual time, which is
-    // what drains an overloaded queue without shedding.
-    const quality::Rung klass = lead.quality_class;
-    if (klass >= quality::Rung::kStale) {
-      const bool stale_serve = klass == quality::Rung::kStale &&
-                               lead.last_image.pixel_count() > 0;
-      Submission sub;
-      sub.lead_session = lead.id();
-      sub.riders = static_cast<int>(batch.riders.size());
-      sub.yaw_deg = batch.lead.yaw_deg;
-      sub.degraded = true;
-      sub.timing = sched.admit(0.0, 0.0, t);
-      if (cfg.comp.record_spans) {
-        obs::Span d;
-        d.kind = obs::SpanKind::kDegrade;
-        d.step = lead.id();
-        d.aux = static_cast<std::int64_t>(klass);
-        d.v_begin = t;
-        d.v_end = t;
-        d.frame = submission;
-        out.service_spans.push_back(d);
-      }
-      const std::int64_t px =
-          static_cast<std::int64_t>(cfg.image_size) * cfg.image_size;
-      const auto deliver_instant = [&](const Request& r) {
+    // Every batched request completes at the submission's composite_end
+    // and carries the frame's error numbers: the rung it ran at, its
+    // pixel error and the stale pixels it served.
+    const auto deliver_batch = [&](const Submission& sub, int rung,
+                                   int max_error, std::int64_t stale_px) {
+      const auto deliver = [&](const Request& r) {
         Session& s = sessions[static_cast<std::size_t>(r.session)];
         Delivery d;
         d.session = r.session;
@@ -187,24 +142,50 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         d.submission = submission;
         d.arrival = r.arrival;
         d.done = sub.timing.composite_end;
-        d.degraded = true;
+        d.degraded = sub.degraded;
         out.deliveries.push_back(d);
         s.stats.delivered += 1;
         s.stats.latency_sum += d.latency();
         if (d.latency() > s.stats.latency_max)
           s.stats.latency_max = d.latency();
-        s.stats.degraded += 1;
-        if (static_cast<int>(klass) > s.stats.quality_floor)
-          s.stats.quality_floor = static_cast<int>(klass);
-        if (stale_serve) s.stats.stale_pixels += px;
-        // A-priori bound of the stale/blank rungs; nothing measured
-        // here since no reference was composited.
-        s.stats.max_pixel_error = 255;
+        if (sub.degraded) s.stats.degraded += 1;
+        s.stats.quality_floor = std::max(s.stats.quality_floor, rung);
+        s.stats.max_pixel_error = std::max(s.stats.max_pixel_error, max_error);
+        s.stats.stale_pixels += stale_px;
       };
-      deliver_instant(batch.lead);
-      for (const Request& r : batch.riders) deliver_instant(r);
+      deliver(batch.lead);
+      for (const Request& r : batch.riders) deliver(r);
       recover(batch.lead.session);
       for (const Request& r : batch.riders) recover(r.session);
+    };
+
+    // The batch executes at its LEAD's quality class. Stale/blank
+    // classes never render or composite: the session's last delivered
+    // image (or a blank frame) goes out in zero virtual time, which is
+    // what drains an overloaded queue without shedding.
+    const quality::Rung klass = lead.quality_class;
+    Submission sub;
+    sub.lead_session = lead.id();
+    sub.riders = static_cast<int>(batch.riders.size());
+    sub.yaw_deg = batch.lead.yaw_deg;
+    if (klass >= quality::Rung::kStale) {
+      const bool stale_serve = klass == quality::Rung::kStale &&
+                               lead.last_image.pixel_count() > 0;
+      sub.degraded = true;
+      sub.timing = step.admit(0.0, 0.0, t, nullptr);
+      if (cfg.comp.record_spans) {
+        obs::Span d =
+            frames::frame_span(obs::SpanKind::kDegrade, submission, t, t);
+        d.step = lead.id();
+        d.aux = static_cast<std::int64_t>(klass);
+        out.service_spans.push_back(d);
+      }
+      // 255 is the stale/blank rungs' a-priori bound; nothing is
+      // measured here since no reference was composited.
+      deliver_batch(sub, static_cast<int>(klass), 255,
+                    stale_serve ? std::int64_t{cfg.image_size} *
+                                      cfg.image_size
+                                : 0);
       if (static_cast<int>(klass) > out.stats.quality_rung)
         out.stats.quality_rung = static_cast<int>(klass);
       if (out.stats.error_bound < 255) out.stats.error_bound = 255;
@@ -217,11 +198,6 @@ ServiceResult run_service(const ServiceConfig& cfg) {
       continue;
     }
 
-    Submission sub;
-    sub.lead_session = lead.id();
-    sub.riders = static_cast<int>(batch.riders.size());
-    sub.yaw_deg = batch.lead.yaw_deg;
-
     frames::ViewSpec view;
     view.dataset = cfg.dataset;
     view.volume_n = cfg.volume_n;
@@ -230,44 +206,27 @@ ServiceResult run_service(const ServiceConfig& cfg) {
     view.pitch_deg = batch.lead.pitch_deg;
     view.renderer = cfg.renderer;
     const harness::RenderedScene rs =
-        frames::render_view(view, ranks_eff, sub.axis);
+        frames::render_view(view, step.ranks(), sub.axis);
     sub.render_time = harness::render_stage_time(rs);
 
-    harness::CompositionConfig c = cfg.comp;
-    c.method = method_eff;
-    c.gather = gather;
-    c.coherence = cfg.coherence ? lead.cache.get() : nullptr;
-    c.frame_id = submission;
-    // Seq-epoch budget is 32 - kSeqEpochBits bits; wrapping keeps
-    // temporally-adjacent submissions' windows disjoint, which is all
-    // the dedup window needs (same argument as run_sequence's per-
-    // frame epochs).
-    c.seq_epoch = static_cast<std::uint32_t>(submission) & 0xfffu;
-    c.stale = c.deadline > 0.0 ? lead.stale.get() : nullptr;
     // Approx/progressive classes run through the normal collective;
     // run_composition re-enforces the error contract against the
     // actual partials and may demote further.
-    c.quality_rung = klass;
-    // Fault isolation: the injected wire/crash schedule applies to one
-    // submission; chronic fail-slow faults (slows, jitters) survive —
-    // they model a degraded node, not an event.
-    if (submission != cfg.fault_submission) {
-      comm::FaultPlan chronic;
-      chronic.seed = c.fault.seed;
-      chronic.slows = c.fault.slows;
-      chronic.jitters = c.fault.jitters;
-      c.fault = std::move(chronic);
-    }
-
-    harness::CompositionRun run = harness::run_composition(c, rs.partials);
-    sub.composite_time = c.deadline > 0.0 ? run.delivery_time : run.time;
+    harness::CompositionRun run = harness::run_composition(
+        step.config(submission, klass,
+                    cfg.coherence ? lead.cache.get() : nullptr,
+                    lead.stale.get()),
+        rs.partials);
+    sub.composite_time = step.composite_time(run);
     sub.degraded = run.degraded;
     sub.lost_pixels = run.lost_pixels;
-    sub.timing = sched.admit(sub.render_time, sub.composite_time, t);
+    sub.timing = step.admit(sub.render_time, sub.composite_time, t,
+                            cfg.comp.record_spans ? &out.service_spans
+                                                  : nullptr);
 
     // Fold the collective's counters onto the service timeline. The
     // composite occupies [composite_start, composite_end].
-    for (int r = 0; r < ranks_eff; ++r)
+    for (int r = 0; r < step.ranks(); ++r)
       comm::fold_rank(out.stats.ranks[static_cast<std::size_t>(r)],
                       run.stats.ranks[static_cast<std::size_t>(r)],
                       sub.timing.composite_start, submission);
@@ -279,47 +238,8 @@ ServiceResult run_service(const ServiceConfig& cfg) {
       out.stats.error_bound = run.stats.error_bound;
     out.stats.coarse_pixels += run.stats.coarse_pixels;
 
-    if (cfg.comp.record_spans) {
-      const frames::FrameTiming& ft = sub.timing;
-      out.service_spans.push_back(interval(
-          obs::SpanKind::kRender, submission, ft.render_start, ft.render_end));
-      if (ft.queue_wait() > 0.0)
-        out.service_spans.push_back(interval(obs::SpanKind::kQueueWait,
-                                             submission, ft.render_end,
-                                             ft.composite_start));
-      out.service_spans.push_back(interval(obs::SpanKind::kCompute, submission,
-                                           ft.composite_start,
-                                           ft.composite_end));
-    }
-
-    // Deliveries: every batched request completes at composite_end.
-    const auto deliver = [&](const Request& r) {
-      Session& s = sessions[static_cast<std::size_t>(r.session)];
-      Delivery d;
-      d.session = r.session;
-      d.seq = r.seq;
-      d.submission = submission;
-      d.arrival = r.arrival;
-      d.done = sub.timing.composite_end;
-      d.degraded = sub.degraded;
-      out.deliveries.push_back(d);
-      s.stats.delivered += 1;
-      s.stats.latency_sum += d.latency();
-      if (d.latency() > s.stats.latency_max)
-        s.stats.latency_max = d.latency();
-      if (sub.degraded) s.stats.degraded += 1;
-      // Quality/staleness attribution: every delivered client received
-      // this submission's frame, so each carries its error numbers.
-      if (run.stats.quality_rung > s.stats.quality_floor)
-        s.stats.quality_floor = run.stats.quality_rung;
-      if (run.stats.max_pixel_error > s.stats.max_pixel_error)
-        s.stats.max_pixel_error = run.stats.max_pixel_error;
-      s.stats.stale_pixels += run.stats.total_stale_pixels();
-    };
-    deliver(batch.lead);
-    for (const Request& r : batch.riders) deliver(r);
-    recover(batch.lead.session);
-    for (const Request& r : batch.riders) recover(r.session);
+    deliver_batch(sub, run.stats.quality_rung, run.stats.max_pixel_error,
+                  run.stats.total_stale_pixels());
     // Remember the frame for each served session: the kStale class
     // re-serves it instantly under overload.
     if (gather && run.image.pixel_count() > 0) {
@@ -328,19 +248,10 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         sessions[static_cast<std::size_t>(r.session)].last_image = run.image;
     }
 
-    if (self_heal) {
-      const std::vector<int> dead = run.stats.dead_ranks();
-      if (!dead.empty()) {
-        ranks_eff -= static_cast<int>(dead.size());
-        RTC_CHECK_MSG(ranks_eff >= 1,
-                      "every rank died; nothing left to render");
-        out.ranks_lost += static_cast<int>(dead.size());
-        // The survivor renumbering re-keys every cache/stale slot in
-        // EVERY session, not just the one that was in flight.
-        for (Session& s : sessions) s.reset_rank_state(ranks_eff);
-        method_eff = core::any_p_method(method_eff, ranks_eff);
-      }
-    }
+    // The survivor renumbering re-keys every cache/stale slot in EVERY
+    // session, not just the one that was in flight.
+    if (step.drop_dead(run.stats))
+      for (Session& s : sessions) s.reset_rank_state(step.ranks());
 
     if (gather) sub.image = std::move(run.image);
     out.submissions.push_back(std::move(sub));
@@ -349,8 +260,9 @@ ServiceResult run_service(const ServiceConfig& cfg) {
 
   for (Session& s : sessions)
     out.stats.sessions.push_back(s.stats);
-  out.makespan = sched.makespan();
-  out.total_queue_wait = sched.total_queue_wait();
+  out.ranks_lost = step.ranks_lost();
+  out.makespan = step.scheduler().makespan();
+  out.total_queue_wait = step.scheduler().total_queue_wait();
   return out;
 }
 

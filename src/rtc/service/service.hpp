@@ -8,9 +8,10 @@
 // dispatch); a RequestBatcher coalesces compatible queue fronts into
 // one submission; and each submission runs the SAME render → composite
 // path the sweep harness uses — frames::render_view for the lead's
-// camera pose, harness::run_composition for the collective — placed on
-// the shared timeline by the FrameScheduler (max_in_flight gates
-// admission exactly as in frames::run_sequence).
+// camera pose, harness::run_composition for the collective — through
+// the per-frame step frames::run_sequence shares (frames::FrameStep:
+// survivor set, per-submission config, FrameScheduler placement, so
+// max_in_flight gates admission exactly as in the sweep).
 //
 // Event loop invariant: the next submission dispatches at
 //   t = max(scheduler admission floor, earliest pending arrival)

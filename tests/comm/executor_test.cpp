@@ -186,6 +186,11 @@ TEST(PooledExecutorTest, RunsThousandsOfRanksOnABoundedPool) {
   // least one park/wake cycle.
   const int p = 2048;
   World world(p, NetworkModel{});
+  // Pooled explicitly: P=2048 is past the threaded executor's rank
+  // cap, and the TSan gate runs under RTC_EXECUTOR=threaded.
+  ExecutorConfig cfg;
+  cfg.kind = ExecutorKind::kPooled;
+  world.set_executor(cfg);
   const RunResult r = world.run([p](Comm& c) {
     const int next = (c.rank() + 1) % p;
     const int prev = (c.rank() + p - 1) % p;

@@ -31,8 +31,10 @@ std::vector<img::Image> make_partials(int ranks, int w = 31, int h = 17) {
 harness::CompositionRun run_hier(const std::vector<img::Image>& partials,
                                  int group_size,
                                  const std::string& intra = "rt",
-                                 const std::string& inter = "bswap_any") {
+                                 const std::string& inter = "bswap_any",
+                                 comm::ExecutorConfig executor = {}) {
   harness::CompositionConfig cfg;
+  cfg.executor = executor;
   cfg.method = "hier";
   cfg.initial_blocks = 2;
   cfg.gather = true;
@@ -119,8 +121,14 @@ TEST(Hierarchical, ThousandRankSmokeIsExactAndDeterministic) {
         16, 8, 100u + static_cast<std::uint32_t>(r), 0.5,
         /*binary_alpha=*/true));
   const img::Image ref = img::composite_reference(partials);
-  const harness::CompositionRun a = run_hier(partials, 32);
-  const harness::CompositionRun b = run_hier(partials, 32);
+  // Pooled explicitly: P=1024 is past the threaded executor's rank cap,
+  // and the TSan gate runs under RTC_EXECUTOR=threaded.
+  comm::ExecutorConfig pooled;
+  pooled.kind = comm::ExecutorKind::kPooled;
+  const harness::CompositionRun a =
+      run_hier(partials, 32, "rt", "bswap_any", pooled);
+  const harness::CompositionRun b =
+      run_hier(partials, 32, "rt", "bswap_any", pooled);
   EXPECT_EQ(img::max_channel_diff(a.image, ref), 0);
   EXPECT_EQ(a.time, b.time);
   EXPECT_TRUE(a.image == b.image);

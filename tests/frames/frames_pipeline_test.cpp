@@ -292,6 +292,29 @@ TEST(FramePipeline, SelfHealingIsDeterministic) {
   EXPECT_EQ(a.max_epoch, b.max_epoch);
 }
 
+TEST(FramePipeline, RunsPastTheSeqEpochRange) {
+  // The wire seq epoch has 12 bits, so frame f runs in epoch f & 0xfff:
+  // frame 4096 reuses frame 0's window instead of failing the range
+  // check. A still camera makes every frame's image equal frame 0's.
+  PipelineConfig cfg;
+  cfg.ranks = 2;
+  cfg.volume_n = 16;
+  cfg.image_size = 8;
+  cfg.frames = 4100;
+  cfg.sweep_deg = 0.0;
+  cfg.comp.gather = true;
+  const SequenceResult seq = run_sequence(cfg);
+  ASSERT_EQ(seq.frames.size(), 4100u);
+  const img::Image& first = seq.frames[0].run.image;
+  ASSERT_GT(first.pixel_count(), 0);
+  for (std::size_t f = 1; f < seq.frames.size(); ++f)
+    ASSERT_TRUE(seq.frames[f].run.image == first) << "frame " << f;
+  EXPECT_EQ(seq.frames[4096].run.stats.ranks[0].seq_first,
+            seq.frames[0].run.stats.ranks[0].seq_first);
+  EXPECT_NE(seq.frames[4095].run.stats.ranks[0].seq_first,
+            seq.frames[0].run.stats.ranks[0].seq_first);
+}
+
 TEST(FramePipeline, UnknownRendererIsAContractError) {
   ViewSpec view;
   view.volume_n = 16;

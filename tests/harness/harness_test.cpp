@@ -2,7 +2,9 @@
 // the figure benches rely on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "rtc/common/check.hpp"
 #include "rtc/harness/experiment.hpp"
@@ -103,6 +105,66 @@ TEST(Scene, AllMethodsAgreeOnTheRenderedScene) {
     const img::Image got = run_composition(cfg, partials).image;
     EXPECT_LE(img::max_channel_diff(got, bs), 8) << m;
   }
+}
+
+/// One FNV-1a step.
+std::uint64_t fnv1a(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * 1099511628211ull;
+}
+
+TEST(RenderScene, PartialBytesArePinned) {
+  // Every partial render_scene produced for each (renderer, mode),
+  // folded into one FNV-1a hash: two datasets, views whose principal
+  // axis is z, x and y, slab, grid and balanced bricks at P = 3 and 4.
+  // The constants were recorded from explicit per-brick render_shearwarp
+  // / render_raycast / render_splat calls over the same bricks in
+  // visibility order, so they pin both the dispatch by name and the
+  // renderers' bytes.
+  struct Pin {
+    const char* renderer;
+    render::RenderMode mode;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"shearwarp", render::RenderMode::kComposite, 0x481d91271f99cc5aull},
+      {"shearwarp", render::RenderMode::kMip, 0x531282f28533d69bull},
+      {"raycast", render::RenderMode::kComposite, 0x6f3fd198c1851cfcull},
+      {"raycast", render::RenderMode::kMip, 0x7214f4a7a48318a2ull},
+      {"splat", render::RenderMode::kComposite, 0x3e61c41ece255a55ull},
+      {"splat", render::RenderMode::kMip, 0xe4f7c5de4f808abdull},
+  };
+  const std::pair<double, double> views[] = {
+      {30.0, 20.0}, {120.0, -35.0}, {250.0, 60.0}};
+  for (const Pin& pin : pins) {
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+    for (const char* dataset : {"engine", "head"}) {
+      for (const auto& [yaw, pitch] : views) {
+        const Scene scene = make_scene(dataset, 20, 40, yaw, pitch);
+        for (const PartitionKind kind :
+             {PartitionKind::kSlab1D, PartitionKind::kGrid2D,
+              PartitionKind::kBalanced1D}) {
+          for (const int ranks : {3, 4}) {
+            const RenderedScene rs =
+                render_scene(scene, ranks, kind, pin.renderer, pin.mode);
+            ASSERT_EQ(rs.partials.size(), static_cast<std::size_t>(ranks));
+            for (const img::Image& im : rs.partials)
+              for (const img::GrayA8 p : im.pixels())
+                h = fnv1a(fnv1a(h, p.v), p.a);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h, pin.hash) << pin.renderer << " mode "
+                           << static_cast<int>(pin.mode) << ": 0x"
+                           << std::hex << h;
+  }
+}
+
+TEST(RenderScene, UnknownRendererIsAContractError) {
+  const Scene scene = make_scene("engine", 16, 16);
+  EXPECT_THROW(static_cast<void>(
+                   render_scene(scene, 2, PartitionKind::kSlab1D, "bogus")),
+               ContractError);
 }
 
 TEST(Table, AlignsAndFormats) {

@@ -43,23 +43,32 @@
 //                   [--ts 0.0035] [--tp 1e-7] [--to 2.5e-7]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //
+// `render` partitions the volume and renders each brick through
+// harness::render_scene, the one partition-and-render loop, then
+// composites the partials: once (single shot), once per frame of a
+// camera sweep (--frames, frames::run_sequence) or once per submission
+// of the render service (--service, service::run_service). The two
+// multi-frame modes share one per-frame step (frames::FrameStep): the
+// survivor set, each frame's composition config and its timeline.
+//
 // Flags take `--key value` or `--key=value` form. Malformed numeric
 // values are a usage error naming the flag — never an unhandled
 // std::stoi throw. So is a flag the command never reads in the mode
 // the other flags select (a typo such as --rnaks, or --sessions
 // without --service): it is rejected before any rendering starts.
 //
-// Exit codes: 0 ok, 2 usage error.
+// Exit codes: 0 ok, 1 runtime error ("error: <what>"), 2 usage error.
+#include <array>
 #include <climits>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,7 +100,8 @@ class Args {
       if (key == "mip" || key == "no-coherence" || key == "relay" ||
           key == "hedge" || key == "service" ||
           key == "degrade-before-shed") {
-        kv_[key] = "1";
+        // A string, not the literal: GCC 12 -Wrestrict misfires on it.
+        kv_[key] = std::string("1");
         continue;
       }
       if (i + 1 >= argc) {
@@ -136,8 +146,7 @@ class Args {
   /// A flag whose value must be one of `accepted`; the first is the
   /// default. Any other value exits 2 naming the flag and the choices.
   [[nodiscard]] std::string get_choice(
-      const std::string& key,
-      std::initializer_list<const char*> accepted) const {
+      const std::string& key, std::span<const char* const> accepted) const {
     const std::string value = get(key, *accepted.begin());
     for (const char* name : accepted)
       if (value == name) return value;
@@ -176,11 +185,9 @@ class Args {
   mutable std::set<std::string> read_;  ///< keys some get/has asked for
 };
 
-/// Accepted --renderer and --net values; the first is the default.
-constexpr std::initializer_list<const char*> kRenderers = {
-    "shearwarp", "raycast", "splat"};
-constexpr std::initializer_list<const char*> kNets = {"sp2-hps",
-                                                      "paper-example"};
+/// Accepted --net values; the first is the default. --renderer
+/// accepts render::kRendererNames.
+constexpr std::array<const char*, 2> kNets = {"sp2-hps", "paper-example"};
 
 int cmd_info(const Args& a) {
   a.require_all_read();
@@ -191,8 +198,9 @@ int cmd_info(const Args& a) {
     std::cout << " " << m;
   std::cout << "\ncodecs:              raw rle trle bbox bbox2d\n"
             << "datasets (phantoms): engine brain head\n"
-            << "renderers:           shearwarp raycast splat\n"
-            << "partitions:          slab grid balanced\n"
+            << "renderers:          ";
+  for (const char* r : render::kRendererNames) std::cout << " " << r;
+  std::cout << "\npartitions:          slab grid balanced\n"
             << "network presets:     sp2-hps (default), paper-example\n"
             << "topology presets:    flat sp2 paper fat-tree dragonfly "
                "cloud\n"
@@ -353,7 +361,7 @@ int parse_fault_flags(const Args& a, harness::CompositionConfig& cfg) {
     return 2;
   }
   const std::string on_loss =
-      a.get_choice("on-peer-loss", {"blank", "throw", "recompose"});
+      a.get_choice("on-peer-loss", std::array{"blank", "throw", "recompose"});
   cfg.resilience.on_peer_loss =
       on_loss == "throw"
           ? comm::ResiliencePolicy::PeerLoss::kThrow
@@ -418,7 +426,7 @@ int cmd_render_service(const Args& a) {
   sc.ranks = a.get_int("ranks", 8);
   sc.volume_n = a.get_int("volume", 96);
   sc.image_size = a.get_int("image", 512);
-  sc.renderer = a.get_choice("renderer", kRenderers);
+  sc.renderer = a.get_choice("renderer", render::kRendererNames);
   sc.max_in_flight = a.get_int("max-in-flight", 2);
   if (sc.max_in_flight < 1) {
     std::cerr << "bad value for --max-in-flight: want >= 1\n";
@@ -454,7 +462,7 @@ int cmd_render_service(const Args& a) {
   }
 
   sc.admission = service::parse_admission_policy(
-      a.get_choice("admission", {"shed-oldest", "reject-new"}));
+      a.get_choice("admission", std::array{"shed-oldest", "reject-new"}));
   sc.queue_cap = a.get_int("queue-cap", 8);
   if (sc.queue_cap < 1) {
     std::cerr << "bad value for --queue-cap: want >= 1\n";
@@ -529,7 +537,7 @@ int cmd_render_frames(const Args& a) {
   pc.yaw0_deg = a.get_double("yaw", 0.0);
   pc.sweep_deg = a.get_double("sweep", 360.0);
   pc.pitch_deg = a.get_double("pitch", 20.0);
-  pc.renderer = a.get_choice("renderer", kRenderers);
+  pc.renderer = a.get_choice("renderer", render::kRendererNames);
   pc.max_in_flight = a.get_int("max-in-flight", 2);
   pc.coherence = !a.has("no-coherence");
   pc.fault_frame = a.get_int("fault-frame", -1);
@@ -589,9 +597,10 @@ int cmd_render(const Args& a) {
   const int ranks = a.get_int("ranks", 8);
   const std::string method = a.get("method", "rt_n");
   const int blocks = a.get_int("blocks", 3);
-  const std::string renderer = a.get_choice("renderer", kRenderers);
+  const std::string renderer =
+      a.get_choice("renderer", render::kRendererNames);
   const std::string partition =
-      a.get_choice("partition", {"slab", "grid", "balanced"});
+      a.get_choice("partition", std::array{"slab", "grid", "balanced"});
   const bool mip = a.has("mip");
   const int volume_n = a.get_int("volume", 96);
   const int image_size = a.get_int("image", 512);
@@ -629,43 +638,16 @@ int cmd_render(const Args& a) {
   cfg.quality_rung = cfg.quality.max_rung;
   a.require_all_read();
 
-  harness::Scene scene =
-      harness::make_scene(dataset, volume_n, image_size, yaw, pitch);
-
-  // Partition + render (by hand so renderer/mode are selectable).
-  const render::Vec3 d = scene.camera.direction();
-  const int axis = render::principal_axis(d);
-  std::vector<vol::Brick> bricks;
-  if (partition == "grid") {
-    bricks = part::grid_2d(scene.volume.bounds(), ranks, (axis + 1) % 3,
-                           (axis + 2) % 3);
-  } else if (partition == "balanced") {
-    bricks = part::balanced_slab_1d(scene.volume, scene.tf, ranks, axis);
-  } else {
-    bricks = part::slab_1d(scene.volume.bounds(), ranks, axis);
-  }
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
-  const render::RenderMode rmode =
-      mip ? render::RenderMode::kMip : render::RenderMode::kComposite;
-  std::vector<img::Image> partials;
-  for (int r = 0; r < ranks; ++r) {
-    const vol::Brick& brick =
-        bricks[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])];
-    if (renderer == "raycast") {
-      partials.push_back(render::render_raycast(scene.volume, scene.tf,
-                                                brick, scene.camera, rmode));
-    } else if (renderer == "splat") {
-      partials.push_back(render::render_splat(scene.volume, scene.tf,
-                                              brick, scene.camera, rmode));
-    } else {
-      partials.push_back(render::render_shearwarp(
-          scene.volume, scene.tf, brick, scene.camera, rmode));
-    }
-  }
-
+  const harness::PartitionKind kind =
+      partition == "grid"       ? harness::PartitionKind::kGrid2D
+      : partition == "balanced" ? harness::PartitionKind::kBalanced1D
+                                : harness::PartitionKind::kSlab1D;
+  const harness::RenderedScene rs = harness::render_scene(
+      harness::make_scene(dataset, volume_n, image_size, yaw, pitch), ranks,
+      kind, renderer,
+      mip ? render::RenderMode::kMip : render::RenderMode::kComposite);
   const harness::CompositionRun run =
-      harness::run_composition(cfg, partials);
+      harness::run_composition(cfg, rs.partials);
 
   std::cout << "dataset=" << dataset << " ranks=" << ranks
             << " method=" << method << " blocks=" << blocks
