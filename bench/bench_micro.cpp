@@ -5,11 +5,12 @@
 //   * default — google-benchmark suite (args go to the benchmark
 //     library: --benchmark_filter=..., etc.)
 //   * --wallclock — measured-throughput mode for the perf CI gate:
-//     runs each pixel/codec kernel, the raw wire format's round trip
-//     and the wire CRC at every SIMD dispatch level this machine
-//     supports and reports Mpix/s and MB/s per kernel plus
-//     SIMD-over-scalar speedups, optionally as JSON
-//     (BENCH_wallclock.json) for scripts/check_wallclock.sh.
+//     runs each pixel/codec kernel, the raw wire format's round trip,
+//     the progressive rung's bound and downsample and the wire CRC at
+//     every SIMD dispatch level this machine supports and reports
+//     Mpix/s and MB/s per kernel plus SIMD-over-scalar speedups,
+//     optionally as JSON (BENCH_wallclock.json) for
+//     scripts/check_wallclock.sh.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,6 +30,7 @@
 #include "rtc/core/schedule.hpp"
 #include "rtc/image/ops.hpp"
 #include "rtc/image/serialize.hpp"
+#include "rtc/quality/quality.hpp"
 #include "rtc/simd/dispatch.hpp"
 
 namespace {
@@ -42,6 +44,24 @@ img::Image sparse_image(int n) {
       im.at(x, y) = img::GrayA8{
           static_cast<std::uint8_t>((x * 7 + y * 13) & 0xff), 255};
   return im;
+}
+
+/// Progressive-rung partials whose error bound stays under the clamp,
+/// so the bound walks every band instead of stopping early: a low-alpha
+/// gradient over sparse_image's cell-aligned central square.
+std::vector<img::Image> smooth_partials(int n, int count) {
+  std::vector<img::Image> out;
+  for (int r = 0; r < count; ++r) {
+    img::Image im(n, n);
+    for (int y = n / 4; y < 3 * n / 4; ++y)
+      for (int x = n / 4; x < 3 * n / 4; ++x) {
+        const int a = 8 + (x + y + r) % 4;
+        im.at(x, y) = img::GrayA8{static_cast<std::uint8_t>(a / 2),
+                                  static_cast<std::uint8_t>(a)};
+      }
+    out.push_back(std::move(im));
+  }
+  return out;
 }
 
 void BM_OverInPlace(benchmark::State& state) {
@@ -258,6 +278,21 @@ void measure_level(const WallclockOptions& o, const std::string& level,
         codec->decode_blend(encoded, dst.pixels(), geom,
                             img::BlendMode::kOver, /*src_front=*/false,
                             scratch);
+      }));
+  // The approx rung's fused walk: saturated dst pixels skip the blend.
+  add("trle_decode_blend_approx", measure_mpix_s(pixels, o.repeat, [&] {
+        benchmark::DoNotOptimize(codec->decode_blend_approx(
+            encoded, dst.pixels(), geom, /*src_front=*/false,
+            /*saturation=*/240, scratch));
+      }));
+  // The progressive rung's host-side prep: the error bound over four
+  // partials (pixels counted over all four) and one coarse partial.
+  const std::vector<img::Image> smooth = smooth_partials(n, 4);
+  add("progressive_bound", measure_mpix_s(4 * pixels, o.repeat, [&] {
+        benchmark::DoNotOptimize(quality::progressive_error_bound(smooth, 4));
+      }));
+  add("downsample", measure_mpix_s(pixels, o.repeat, [&] {
+        benchmark::DoNotOptimize(img::downsample(src, 4));
       }));
   // Plain decode, as radix and pp's ring segments decode every block.
   add("trle_decode", measure_mpix_s(pixels, o.repeat, [&] {

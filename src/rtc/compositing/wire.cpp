@@ -174,24 +174,23 @@ void decode_blend_block(comm::Comm& comm, int tag,
     return;
   }
   if (saturation > 0 && mode == img::BlendMode::kOver) {
-    // Approximate rung: decode into scratch, then blend with
-    // opacity-saturation early termination. Only the actually-blended
-    // pixels are charged To, so the saving shows up on the virtual
-    // clock; skips are pure pixel arithmetic and replay bit-exactly.
-    scratch.resize(dst.size());
+    // Approximate rung: blend with opacity-saturation early
+    // termination, fused with the decode where the codec has a fused
+    // walk (TRLE). Only the actually-blended pixels are charged To, so
+    // the saving shows up on the virtual clock; skips are pure pixel
+    // arithmetic and replay bit-exactly.
     const std::int64_t w0 =
         comm.trace().enabled() ? obs::wall_now_ns() : -1;
+    img::ApproxBlendStats st;
     if (codec == nullptr) {
+      scratch.resize(dst.size());
       img::deserialize_pixels(bytes, scratch);
-    } else {
-      codec->decode(bytes, scratch, geom);
-    }
-    const img::ApproxBlendStats st =
-        img::blend_in_place_approx(dst, scratch, src_front, saturation);
-    if (codec == nullptr) {
+      st = img::blend_in_place_approx(dst, scratch, src_front, saturation);
       comm.note_span(obs::SpanKind::kDecodeBlend, tag,
                      static_cast<std::int64_t>(bytes.size()), pixels);
     } else {
+      st = codec->decode_blend_approx(bytes, dst, geom, src_front,
+                                      saturation, scratch);
       comm.charge_span(obs::SpanKind::kDecodeBlend, tag,
                        codec_time(comm, dst.size()),
                        static_cast<std::int64_t>(bytes.size()), pixels, w0);

@@ -21,6 +21,15 @@ void Codec::decode_blend(std::span<const std::byte> bytes,
   img::blend_in_place(dst, scratch, mode, src_front);
 }
 
+img::ApproxBlendStats Codec::decode_blend_approx(
+    std::span<const std::byte> bytes, std::span<img::GrayA8> dst,
+    const BlockGeometry& geom, bool src_front, int saturation,
+    std::vector<img::GrayA8>& scratch) const {
+  scratch.resize(dst.size());
+  decode(bytes, scratch, geom);
+  return img::blend_in_place_approx(dst, scratch, src_front, saturation);
+}
+
 std::unique_ptr<Codec> make_codec(const std::string& name) {
   if (name == "raw") return make_raw_codec();
   if (name == "rle") return make_rle_codec();

@@ -75,6 +75,20 @@ class Codec {
                             const BlockGeometry& geom,
                             img::BlendMode mode, bool src_front,
                             std::vector<img::GrayA8>& scratch) const;
+
+  /// Approximate fused decode-and-blend (the quality ladder's kApprox
+  /// rung, `over` only): equivalent to decoding into a scratch block
+  /// and calling img::blend_in_place_approx(dst, scratch, src_front,
+  /// saturation) — the same image and the same blended/skipped counts,
+  /// with the full validation of `decode`. TRLE overrides it to walk
+  /// its stream once: payload pixels apply the saturation rule, and a
+  /// blank position is the identity, counted as skipped exactly where
+  /// the skip rule would fire (src behind a saturated `dst`). The base
+  /// implementation decodes into `scratch`, then blends.
+  virtual img::ApproxBlendStats decode_blend_approx(
+      std::span<const std::byte> bytes, std::span<img::GrayA8> dst,
+      const BlockGeometry& geom, bool src_front, int saturation,
+      std::vector<img::GrayA8>& scratch) const;
 };
 
 /// No compression: 2 bytes per pixel.

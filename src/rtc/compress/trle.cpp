@@ -25,7 +25,9 @@
 // runs of full (0xF) cells to a vectorized blend that composites the
 // interleaved payload straight into both destination rows. Plain decode
 // runs through the same walk: blank runs become fills and full runs
-// row-pair copies, so only mixed cells go pixel by pixel. Every
+// row-pair copies, so only mixed cells go pixel by pixel. The approx
+// rung's decode_blend_approx rides the same walk: blank runs cost
+// nothing in front of dst and one alpha count behind it. Every
 // dispatch level produces byte-identical streams and images — the
 // scalar-vs-SIMD property suite pins it.
 #include <algorithm>
@@ -240,6 +242,71 @@ class TrleCodec final : public Codec {
            },
            keep, keep_cells, k.fused_cells_over_back);
     }
+  }
+
+  img::ApproxBlendStats decode_blend_approx(
+      std::span<const std::byte> bytes, std::span<img::GrayA8> dst,
+      const BlockGeometry& geom, bool src_front, int saturation,
+      std::vector<img::GrayA8>& scratch) const override {
+    if (saturation <= 0) {
+      decode_blend(bytes, dst, geom, img::BlendMode::kOver, src_front,
+                   scratch);
+      return {static_cast<std::int64_t>(dst.size()), 0};
+    }
+    // img::blend_in_place_approx's rule, one stream walk. A blank src
+    // pixel is the identity under `over`: in front it always counts as
+    // blended; behind, it counts as skipped where dst is saturated, so
+    // blank positions only read dst (and only when src is behind).
+    const auto sat = static_cast<std::uint8_t>(std::min(saturation, 255));
+    std::int64_t skipped = 0;
+    const auto run = [&](auto&& blend, auto&& blank) {
+      const auto px = [](const std::byte* p) {
+        return img::GrayA8{static_cast<std::uint8_t>(p[0]),
+                           static_cast<std::uint8_t>(p[1])};
+      };
+      walk(bytes, dst, geom,
+           [&](std::size_t i, img::GrayA8 p) { blend(dst[i], p); },
+           [&](std::size_t i) { blank(&dst[i], 1); },
+           [&](img::GrayA8* row0, img::GrayA8* row1, std::size_t k) {
+             blank(row0, 2 * k);
+             blank(row1, 2 * k);
+           },
+           [&](img::GrayA8* row0, img::GrayA8* row1,
+               const std::byte* payload, std::size_t k) {
+             for (std::size_t j = 0; j < k; ++j, payload += 8) {
+               blend(row0[2 * j], px(payload));
+               blend(row0[2 * j + 1], px(payload + 2));
+               blend(row1[2 * j], px(payload + 4));
+               blend(row1[2 * j + 1], px(payload + 6));
+             }
+           });
+    };
+    if (src_front) {
+      run(
+          [&](img::GrayA8& d, img::GrayA8 p) {
+            if (p.a >= sat) {
+              d = p;
+              ++skipped;
+            } else {
+              d = img::over(p, d);
+            }
+          },
+          [](const img::GrayA8*, std::size_t) {});
+    } else {
+      run(
+          [&](img::GrayA8& d, img::GrayA8 p) {
+            if (d.a >= sat) {
+              ++skipped;
+            } else {
+              d = img::over(d, p);
+            }
+          },
+          [&](const img::GrayA8* d, std::size_t n) {
+            for (std::size_t j = 0; j < n; ++j)
+              skipped += d[j].a >= sat ? 1 : 0;
+          });
+    }
+    return {static_cast<std::int64_t>(dst.size()) - skipped, skipped};
   }
 
  private:

@@ -39,6 +39,15 @@ obs::Span frame_span(obs::SpanKind kind, int frame, double begin,
   return s;
 }
 
+quality::Rung FrameStep::frame_rung(quality::Rung proposed) const {
+  const quality::QualityPolicy& pol = comp_.quality;
+  const quality::Rung r = std::min(proposed, pol.max_rung);
+  if (r >= quality::Rung::kStale &&
+      quality::rung_error_bound(r, pol, {}) <= pol.max_error)
+    return r;
+  return std::min(r, quality::Rung::kProgressive);
+}
+
 harness::CompositionConfig FrameStep::config(int frame, quality::Rung rung,
                                              CoherenceCache* coherence,
                                              comm::StaleStore* stale) const {
@@ -141,25 +150,22 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
         render_view(sweep_view(cfg, yaw), step.ranks(), fr.axis);
     fr.render_time = harness::render_stage_time(rs);
 
-    // Pick this frame's rung and re-enforce the error contract against
-    // the actual partials (the progressive bound needs them).
-    const quality::RungChoice rung = quality::enforce_contract(
-        qc.choose(pressure), cfg.comp.quality, rs.partials);
-
-    if (rung.rung >= quality::Rung::kStale) {
+    const quality::Rung rung = step.frame_rung(qc.choose(pressure));
+    if (rung >= quality::Rung::kStale) {
       // Stale/blank rungs skip composition entirely: the frame is
       // served from the last composited image (or blank when there is
       // none yet / the rung is blank) at zero composite cost. The
       // unified error accounting still measures the delivered image
       // against this frame's exact composite.
-      const bool serve_stale = rung.rung == quality::Rung::kStale &&
+      const bool serve_stale = rung == quality::Rung::kStale &&
                                last_good.pixel_count() > 0;
       fr.run.image = serve_stale
                          ? last_good
                          : img::Image(cfg.image_size, cfg.image_size);
       fr.run.stats.ranks.resize(static_cast<std::size_t>(step.ranks()));
-      fr.run.stats.quality_rung = static_cast<int>(rung.rung);
-      fr.run.stats.error_bound = rung.bound;
+      fr.run.stats.quality_rung = static_cast<int>(rung);
+      fr.run.stats.error_bound =
+          quality::rung_error_bound(rung, cfg.comp.quality, {});
       const img::Image ref =
           img::composite_reference(rs.partials, cfg.comp.blend);
       fr.run.stats.max_pixel_error =
@@ -176,8 +182,9 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
       fr.timing = step.admit(fr.render_time, 0.0, 0.0, nullptr);
       out.quality_frames += 1;
       out.quality_floor =
-          std::max(out.quality_floor, static_cast<int>(rung.rung));
-      out.error_bound = std::max(out.error_bound, rung.bound);
+          std::max(out.quality_floor, static_cast<int>(rung));
+      out.error_bound =
+          std::max(out.error_bound, fr.run.stats.error_bound);
       if (fr.run.stats.max_pixel_error > out.max_pixel_error)
         out.max_pixel_error = fr.run.stats.max_pixel_error;
       const FrameTiming& ts = fr.timing;
@@ -196,7 +203,7 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
     if (cfg.sink != nullptr)
       cfg.sink->begin_frame(f, cfg.image_size, cfg.image_size);
     fr.run = harness::run_composition(
-        step.config(f, rung.rung, cfg.coherence ? &cache : nullptr, &stale),
+        step.config(f, rung, cfg.coherence ? &cache : nullptr, &stale),
         rs.partials);
     if (cfg.sink != nullptr) cfg.sink->end_frame(f);
     fr.composite_time = step.composite_time(fr.run);

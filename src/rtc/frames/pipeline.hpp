@@ -19,9 +19,9 @@
 //
 // A frame is render_view → run_composition → placement on the
 // timeline. FrameStep is the part after rendering that run_sequence
-// and service::run_service share; each driver keeps what differs on
-// purpose (quality policy, stale/blank serves, caches, sinks,
-// sessions).
+// and service::run_service share, the frame's rung rule included; each
+// driver keeps what differs on purpose (how a rung is proposed, what a
+// stale/blank serve delivers, caches, sinks, sessions).
 #pragma once
 
 #include <cstdint>
@@ -82,6 +82,13 @@ class FrameStep {
   /// Ranks permanently removed so far (PeerLoss::kRecompose only).
   [[nodiscard]] int ranks_lost() const { return ranks_lost_; }
   [[nodiscard]] const FrameScheduler& scheduler() const { return sched_; }
+
+  /// The frame-level rule of the error contract, the same for both
+  /// drivers. A stale or blank `proposed` rung (clamped to the policy's
+  /// max_rung) is served only when its a-priori bound of 255 fits under
+  /// max_error. Any other frame composes at min(rung, kProgressive),
+  /// and run_composition enforces the contract on its partials, once.
+  [[nodiscard]] quality::Rung frame_rung(quality::Rung proposed) const;
 
   /// Frame `frame`'s composition config at `rung` over the caller's
   /// rank-keyed caches (nullptr: none); `stale` is used only under a

@@ -86,9 +86,10 @@ struct CompositionConfig {
   quality::QualityPolicy quality;
   /// Requested rung for THIS composition. Only kExact, kApprox and
   /// kProgressive run here — the kStale/kBlank rungs skip composition
-  /// entirely and live in the frames/service drivers. The error
-  /// contract is re-enforced before execution: a rung whose a-priori
-  /// bound exceeds quality.max_error falls back toward exact, and the
+  /// entirely and live in the frames/service drivers
+  /// (frames::FrameStep::frame_rung). The error contract is enforced
+  /// here, once, before execution: a rung whose a-priori bound exceeds
+  /// quality.max_error falls back toward exact, and the
   /// rung actually executed lands in RunStats::quality_rung with its
   /// bound in RunStats::error_bound.
   quality::Rung quality_rung = quality::Rung::kExact;

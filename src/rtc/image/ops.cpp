@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -144,27 +145,71 @@ ApproxBlendStats blend_in_place_approx(std::span<GrayA8> dst,
   return stats;
 }
 
+ColumnRange non_blank_columns(const Image& im, int y0, int y1) {
+  RTC_CHECK(0 <= y0 && y0 <= y1 && y1 <= im.height());
+  const int w = im.width();
+  if (w == 0) return {};
+  // One occupancy word per 64 pixels of a row; thread_local keeps the
+  // capacity across calls.
+  static thread_local std::vector<std::uint64_t> bits;
+  bits.resize(static_cast<std::size_t>((w + 63) / 64));
+  const simd::Kernels& k = simd::kernels();
+  int lo = w;
+  int hi = 0;
+  for (int y = y0; y < y1; ++y) {
+    k.blank_mask(&im.at(0, y), static_cast<std::size_t>(w), bits.data());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i] == 0) continue;
+      lo = std::min(lo, static_cast<int>(i) * 64 + std::countr_zero(bits[i]));
+      break;
+    }
+    for (std::size_t i = bits.size(); i-- > 0;) {
+      if (bits[i] == 0) continue;
+      hi = std::max(hi, static_cast<int>(i) * 64 + 64 -
+                            std::countl_zero(bits[i]));
+      break;
+    }
+  }
+  return lo < hi ? ColumnRange{lo, hi} : ColumnRange{};
+}
+
 Image downsample(const Image& src, int factor) {
   RTC_CHECK(factor >= 1);
-  const int cw = (src.width() + factor - 1) / factor;
-  const int ch = (src.height() + factor - 1) / factor;
+  const int w = src.width();
+  const int h = src.height();
+  const int cw = (w + factor - 1) / factor;
+  const int ch = (h + factor - 1) / factor;
   Image out(cw, ch);
+  std::vector<std::uint32_t> sv(static_cast<std::size_t>(cw));
+  std::vector<std::uint32_t> sa(static_cast<std::size_t>(cw));
   for (int cy = 0; cy < ch; ++cy) {
-    for (int cx = 0; cx < cw; ++cx) {
-      const int x0 = cx * factor;
-      const int y0 = cy * factor;
-      const int x1 = std::min(src.width(), x0 + factor);
-      const int y1 = std::min(src.height(), y0 + factor);
-      std::uint32_t sv = 0, sa = 0;
-      for (int y = y0; y < y1; ++y) {
-        for (int x = x0; x < x1; ++x) {
-          sv += src.at(x, y).v;
-          sa += src.at(x, y).a;
+    const int y0 = cy * factor;
+    const int y1 = std::min(h, y0 + factor);
+    const ColumnRange cols = non_blank_columns(src, y0, y1);
+    if (cols.empty()) continue;  // the band's cells stay blank
+    const int c0 = cols.begin / factor;
+    const int c1 = (cols.end - 1) / factor + 1;
+    std::fill(sv.begin() + c0, sv.begin() + c1, 0u);
+    std::fill(sa.begin() + c0, sa.begin() + c1, 0u);
+    for (int y = y0; y < y1; ++y) {
+      const GrayA8* row = &src.at(0, y);
+      for (int c = c0; c < c1; ++c) {
+        const int x1 = std::min(w, (c + 1) * factor);
+        std::uint32_t v = 0, a = 0;
+        for (int x = c * factor; x < x1; ++x) {
+          v += row[x].v;
+          a += row[x].a;
         }
+        sv[static_cast<std::size_t>(c)] += v;
+        sa[static_cast<std::size_t>(c)] += a;
       }
-      const auto n = static_cast<std::uint32_t>((x1 - x0) * (y1 - y0));
-      out.at(cx, cy) = GrayA8{static_cast<std::uint8_t>((sv + n / 2) / n),
-                              static_cast<std::uint8_t>((sa + n / 2) / n)};
+    }
+    for (int c = c0; c < c1; ++c) {
+      const int cell_w = std::min(w, (c + 1) * factor) - c * factor;
+      const auto n = static_cast<std::uint32_t>(cell_w * (y1 - y0));
+      const auto i = static_cast<std::size_t>(c);
+      out.at(c, cy) = GrayA8{static_cast<std::uint8_t>((sv[i] + n / 2) / n),
+                             static_cast<std::uint8_t>((sa[i] + n / 2) / n)};
     }
   }
   return out;
@@ -175,10 +220,18 @@ Image upsample(const Image& coarse, int factor, int width, int height) {
   RTC_CHECK(coarse.width() == (width + factor - 1) / factor &&
             coarse.height() == (height + factor - 1) / factor);
   Image out(width, height);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      out.at(x, y) = coarse.at(x / factor, y / factor);
+  if (width == 0) return out;
+  for (int cy = 0; cy < coarse.height(); ++cy) {
+    const int y0 = cy * factor;
+    const int y1 = std::min(height, y0 + factor);
+    GrayA8* first = &out.at(0, y0);
+    for (int cx = 0; cx < coarse.width(); ++cx) {
+      const int x0 = cx * factor;
+      std::fill(first + x0, first + std::min(width, x0 + factor),
+                coarse.at(cx, cy));
     }
+    for (int y = y0 + 1; y < y1; ++y)
+      std::copy(first, first + width, &out.at(0, y));
   }
   return out;
 }

@@ -68,15 +68,33 @@ ApproxBlendStats blend_in_place_approx(std::span<GrayA8> dst,
                                        std::span<const GrayA8> src,
                                        bool src_front, int saturation);
 
+/// Half-open column range [begin, end) holding every non-blank pixel
+/// of rows [y0, y1) of an image; empty when those rows are all blank.
+struct ColumnRange {
+  int begin = 0;
+  int end = 0;
+
+  [[nodiscard]] bool empty() const { return end <= begin; }
+};
+
+/// The non-blank columns of rows [y0, y1) of `im`, classified with the
+/// dispatched blank-mask kernel. The progressive rung walks its
+/// partials in bands of coarse-cell rows and visits only the cells
+/// this range overlaps: every other cell of the band is blank.
+[[nodiscard]] ColumnRange non_blank_columns(const Image& im, int y0, int y1);
+
 /// Box-downsample by `factor` with round-to-nearest averaging
 /// (quality ladder's progressive coarse pass). Output dimensions are
 /// ceil(w/factor) x ceil(h/factor); edge cells average their partial
-/// footprint.
+/// footprint. An all-blank cell averages to blank, so only cells that
+/// overlap a band's non-blank columns are summed.
 [[nodiscard]] Image downsample(const Image& src, int factor);
 
 /// Nearest-neighbour upsample of a coarse image back to
 /// `width` x `height`: every full-resolution pixel takes its covering
 /// coarse cell's value. Inverse companion of downsample's geometry.
+/// Builds the first row of each band of `factor` rows and copies it to
+/// the rest.
 [[nodiscard]] Image upsample(const Image& coarse, int factor, int width,
                              int height);
 

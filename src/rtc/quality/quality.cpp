@@ -1,6 +1,11 @@
 #include "rtc/quality/quality.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
+
+#include "rtc/common/check.hpp"
+#include "rtc/image/ops.hpp"
 
 namespace rtc::quality {
 
@@ -31,37 +36,61 @@ int approx_error_bound(int saturation) {
 int progressive_error_bound(std::span<const img::Image> partials,
                             int coarse_factor) {
   if (coarse_factor < 2 || partials.empty()) return 255;
+  const int f = coarse_factor;
   const int w = partials[0].width();
   const int h = partials[0].height();
-  const int cw = (w + coarse_factor - 1) / coarse_factor;
-  const int ch = (h + coarse_factor - 1) / coarse_factor;
-  int worst = 0;
-  for (int cy = 0; cy < ch; ++cy) {
-    for (int cx = 0; cx < cw; ++cx) {
-      const int x0 = cx * coarse_factor;
-      const int y0 = cy * coarse_factor;
-      const int x1 = std::min(w, x0 + coarse_factor);
-      const int y1 = std::min(h, y0 + coarse_factor);
-      int cell = 0;
-      for (const img::Image& p : partials) {
-        int vmin = 255, vmax = 0, amin = 255, amax = 0;
-        for (int y = y0; y < y1; ++y) {
-          for (int x = x0; x < x1; ++x) {
-            const img::GrayA8 px = p.at(x, y);
-            vmin = std::min(vmin, static_cast<int>(px.v));
-            vmax = std::max(vmax, static_cast<int>(px.v));
-            amin = std::min(amin, static_cast<int>(px.a));
-            amax = std::max(amax, static_cast<int>(px.a));
+  const int cw = (w + f - 1) / f;
+  const int ch = (h + f - 1) / f;
+  for (const img::Image& p : partials)
+    RTC_CHECK_MSG(p.width() == w && p.height() == h,
+                  "partials must share their dimensions");
+  // One LSB of box-average rounding per rank plus blend-tree drift.
+  if (partials.size() + 8 >= 255) return 255;
+  const int slack = static_cast<int>(partials.size()) + 8;
+  // Partial-major: each partial adds its per-cell (value range + alpha
+  // range) into one sum per coarse cell, a band of f rows at a time.
+  // Cells outside a band's non-blank columns have range 0. The sums
+  // only grow, so the first one to reach the clamp decides the answer.
+  std::vector<int> sum(static_cast<std::size_t>(cw) *
+                       static_cast<std::size_t>(ch));
+  std::vector<int> vmin(static_cast<std::size_t>(cw));
+  std::vector<int> vmax(vmin.size()), amin(vmin.size()), amax(vmin.size());
+  for (const img::Image& p : partials) {
+    for (int cy = 0; cy < ch; ++cy) {
+      const int y0 = cy * f;
+      const int y1 = std::min(h, y0 + f);
+      const img::ColumnRange cols = img::non_blank_columns(p, y0, y1);
+      if (cols.empty()) continue;
+      const int c0 = cols.begin / f;
+      const int c1 = (cols.end - 1) / f + 1;
+      std::fill(vmin.begin() + c0, vmin.begin() + c1, 255);
+      std::fill(vmax.begin() + c0, vmax.begin() + c1, 0);
+      std::fill(amin.begin() + c0, amin.begin() + c1, 255);
+      std::fill(amax.begin() + c0, amax.begin() + c1, 0);
+      for (int y = y0; y < y1; ++y) {
+        const img::GrayA8* row = &p.at(0, y);
+        for (int c = c0; c < c1; ++c) {
+          const auto i = static_cast<std::size_t>(c);
+          const int x1 = std::min(w, (c + 1) * f);
+          for (int x = c * f; x < x1; ++x) {
+            vmin[i] = std::min(vmin[i], static_cast<int>(row[x].v));
+            vmax[i] = std::max(vmax[i], static_cast<int>(row[x].v));
+            amin[i] = std::min(amin[i], static_cast<int>(row[x].a));
+            amax[i] = std::max(amax[i], static_cast<int>(row[x].a));
           }
         }
-        cell += (vmax - vmin) + (amax - amin);
       }
-      worst = std::max(worst, cell);
+      int* band = sum.data() + static_cast<std::ptrdiff_t>(cy) * cw;
+      for (int c = c0; c < c1; ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        band[c] += (vmax[i] - vmin[i]) + (amax[i] - amin[i]);
+        if (band[c] + slack >= 255) return 255;
+      }
     }
   }
-  // One LSB of box-average rounding per rank plus blend-tree drift.
-  worst += static_cast<int>(partials.size()) + 8;
-  return std::min(255, worst);
+  const int worst =
+      sum.empty() ? 0 : *std::max_element(sum.begin(), sum.end());
+  return worst + slack;
 }
 
 Rung step_down(Rung r, Rung floor) {

@@ -100,7 +100,10 @@ struct QualityPolicy {
 /// box-average perturbs the composite by at most the sum over ranks of
 /// that rank's in-cell (value range + alpha range); the bound is the
 /// worst cell, plus rounding slack (one LSB per rank for the box
-/// average, plus blend-tree drift), clamped to 255. O(P * pixels).
+/// average, plus blend-tree drift), clamped to 255. Walks each partial
+/// in bands of `coarse_factor` rows, visits only the cells that overlap
+/// a band's non-blank columns, and returns 255 as soon as one cell's
+/// running sum reaches the clamp. All partials must share dimensions.
 [[nodiscard]] int progressive_error_bound(
     std::span<const img::Image> partials, int coarse_factor);
 

@@ -159,17 +159,18 @@ ServiceResult run_service(const ServiceConfig& cfg) {
       for (const Request& r : batch.riders) recover(r.session);
     };
 
-    // The batch executes at its LEAD's quality class. Stale/blank
-    // classes never render or composite: the session's last delivered
-    // image (or a blank frame) goes out in zero virtual time, which is
-    // what drains an overloaded queue without shedding.
-    const quality::Rung klass = lead.quality_class;
+    // The batch executes at its LEAD's quality class, through the
+    // frame's rung rule. Stale/blank classes the contract admits never
+    // render or composite: the session's last delivered image (or a
+    // blank frame) goes out in zero virtual time, which is what drains
+    // an overloaded queue without shedding.
+    const quality::Rung rung = step.frame_rung(lead.quality_class);
     Submission sub;
     sub.lead_session = lead.id();
     sub.riders = static_cast<int>(batch.riders.size());
     sub.yaw_deg = batch.lead.yaw_deg;
-    if (klass >= quality::Rung::kStale) {
-      const bool stale_serve = klass == quality::Rung::kStale &&
+    if (rung >= quality::Rung::kStale) {
+      const bool stale_serve = rung == quality::Rung::kStale &&
                                lead.last_image.pixel_count() > 0;
       sub.degraded = true;
       sub.timing = step.admit(0.0, 0.0, t, nullptr);
@@ -177,17 +178,17 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         obs::Span d =
             frames::frame_span(obs::SpanKind::kDegrade, submission, t, t);
         d.step = lead.id();
-        d.aux = static_cast<std::int64_t>(klass);
+        d.aux = static_cast<std::int64_t>(rung);
         out.service_spans.push_back(d);
       }
       // 255 is the stale/blank rungs' a-priori bound; nothing is
       // measured here since no reference was composited.
-      deliver_batch(sub, static_cast<int>(klass), 255,
+      deliver_batch(sub, static_cast<int>(rung), 255,
                     stale_serve ? std::int64_t{cfg.image_size} *
                                       cfg.image_size
                                 : 0);
-      if (static_cast<int>(klass) > out.stats.quality_rung)
-        out.stats.quality_rung = static_cast<int>(klass);
+      if (static_cast<int>(rung) > out.stats.quality_rung)
+        out.stats.quality_rung = static_cast<int>(rung);
       if (out.stats.error_bound < 255) out.stats.error_bound = 255;
       if (gather) {
         sub.image = stale_serve ? lead.last_image
@@ -209,11 +210,11 @@ ServiceResult run_service(const ServiceConfig& cfg) {
         frames::render_view(view, step.ranks(), sub.axis);
     sub.render_time = harness::render_stage_time(rs);
 
-    // Approx/progressive classes run through the normal collective;
-    // run_composition re-enforces the error contract against the
-    // actual partials and may demote further.
+    // Everything else runs through the normal collective;
+    // run_composition enforces the error contract against the actual
+    // partials and may demote further.
     harness::CompositionRun run = harness::run_composition(
-        step.config(submission, klass,
+        step.config(submission, rung,
                     cfg.coherence ? lead.cache.get() : nullptr,
                     lead.stale.get()),
         rs.partials);

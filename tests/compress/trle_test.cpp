@@ -1,5 +1,6 @@
 // TRLE-specific behavior: the Section 3 code format, the Figure 4
-// worked example, and the bulk decode against a per-cell reference.
+// worked example, the bulk decode against a per-cell reference, and the
+// fused approximate decode-blend against decode plus the approx blend.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include "rtc/common/wire.hpp"
 #include "rtc/compress/cells.hpp"
 #include "rtc/compress/codec.hpp"
+#include "rtc/image/ops.hpp"
 #include "rtc/image/serialize.hpp"
 
 namespace rtc::compress {
@@ -255,6 +257,46 @@ std::optional<wire::DecodeError::Kind> decode_error(Decode&& decode) {
   return std::nullopt;
 }
 
+/// Damaged copies of the good stream `good`: truncated and trailing
+/// codes and payload, a huge code count, and random code bytes (blank,
+/// full and mixed runs of any length).
+std::vector<std::vector<std::byte>> hostile_streams(
+    const std::vector<std::byte>& good, std::mt19937& rng) {
+  const std::uint32_t n_codes = code_count(good);
+  const auto with_count = [](std::vector<std::byte> s, std::uint32_t c) {
+    for (std::size_t b = 0; b < 4; ++b)
+      s[b] = static_cast<std::byte>(c >> (8 * b));
+    return s;
+  };
+  std::vector<std::vector<std::byte>> hostile;
+  // Truncated codes: the count promises more codes than remain.
+  hostile.emplace_back(good.begin(), good.begin() + 4 + n_codes / 2);
+  hostile.push_back(with_count(good, n_codes - 1));  // codes run short
+  // Truncated payload: cut 2, 1 and every payload byte.
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{2},
+                                good.size() - 4 - n_codes})
+    hostile.emplace_back(good.begin(),
+                         good.end() - static_cast<std::ptrdiff_t>(cut));
+  // Trailing codes and trailing payload.
+  {
+    std::vector<std::byte> s = with_count(good, n_codes + 1);
+    s.insert(s.begin() + 4 + n_codes, std::byte{0x0f});
+    hostile.push_back(std::move(s));
+    std::vector<std::byte> t = good;
+    t.push_back(std::byte{1});
+    t.push_back(std::byte{2});
+    hostile.push_back(std::move(t));
+  }
+  hostile.push_back(with_count(good, 0xffffffffu));  // huge count
+  for (int k = 0; k < 40; ++k) {
+    std::vector<std::byte> s = good;
+    const std::size_t at = 4 + rng() % std::max<std::uint32_t>(n_codes, 1);
+    s[at] = static_cast<std::byte>(rng() & 0xffu);
+    hostile.push_back(std::move(s));
+  }
+  return hostile;
+}
+
 TEST(Trle, BulkDecodeRejectsHostileStreamsLikeTheReference) {
   const auto codec = make_codec("trle");
   std::mt19937 rng(77);
@@ -266,40 +308,7 @@ TEST(Trle, BulkDecodeRejectsHostileStreamsLikeTheReference) {
          {img::PixelSpan{0, n}, img::PixelSpan{w + 1, n - 2}}) {
       const BlockGeometry geom{w, span.begin};
       const std::vector<std::byte> good = codec->encode(im.view(span), geom);
-      const std::uint32_t n_codes = code_count(good);
-      const auto with_count = [](std::vector<std::byte> s, std::uint32_t c) {
-        for (std::size_t b = 0; b < 4; ++b)
-          s[b] = static_cast<std::byte>(c >> (8 * b));
-        return s;
-      };
-      std::vector<std::vector<std::byte>> hostile;
-      // Truncated codes: the count promises more codes than remain.
-      hostile.emplace_back(good.begin(), good.begin() + 4 + n_codes / 2);
-      hostile.push_back(with_count(good, n_codes - 1));  // codes run short
-      // Truncated payload: cut 2, 1 and every payload byte.
-      for (const std::size_t cut : {std::size_t{1}, std::size_t{2},
-                                    good.size() - 4 - n_codes})
-        hostile.emplace_back(good.begin(),
-                             good.end() - static_cast<std::ptrdiff_t>(cut));
-      // Trailing codes and trailing payload.
-      {
-        std::vector<std::byte> s = with_count(good, n_codes + 1);
-        s.insert(s.begin() + 4 + n_codes, std::byte{0x0f});
-        hostile.push_back(std::move(s));
-        std::vector<std::byte> t = good;
-        t.push_back(std::byte{1});
-        t.push_back(std::byte{2});
-        hostile.push_back(std::move(t));
-      }
-      hostile.push_back(with_count(good, 0xffffffffu));  // huge count
-      // Random code bytes: blank, full and mixed runs of any length.
-      for (int k = 0; k < 40; ++k) {
-        std::vector<std::byte> s = good;
-        const std::size_t at = 4 + rng() % std::max<std::uint32_t>(n_codes, 1);
-        s[at] = static_cast<std::byte>(rng() & 0xffu);
-        hostile.push_back(std::move(s));
-      }
-      for (const std::vector<std::byte>& s : hostile) {
+      for (const std::vector<std::byte>& s : hostile_streams(good, rng)) {
         std::vector<img::GrayA8> got(static_cast<std::size_t>(span.size()),
                                      kPoison);
         std::vector<img::GrayA8> want(got.size(), kPoison);
@@ -317,6 +326,112 @@ TEST(Trle, BulkDecodeRejectsHostileStreamsLikeTheReference) {
     }
   }
   EXPECT_GT(rejected, 40);  // the mutations above mostly break the stream
+}
+
+/// A destination for the approx blend: run_image content with a third
+/// of its non-blank pixels forced opaque, so saturated pixels, blank
+/// ones and translucent ones all sit under every kind of TRLE run.
+img::Image approx_dst(int w, int h, std::uint32_t seed) {
+  img::Image im = run_image(w, h, seed);
+  std::mt19937 rng(seed);
+  for (img::GrayA8& p : im.pixels())
+    if (!img::is_blank(p) && rng() % 3 == 0) p.a = 255;
+  return im;
+}
+
+TEST(Trle, FusedApproxMatchesDecodeThenApproxBlend) {
+  // decode_blend_approx walks the stream once; it must leave the same
+  // pixels and report the same blended/skipped counts as decoding into
+  // scratch and running img::blend_in_place_approx, on every kind of
+  // run, span start and length, in both depth orders and at every
+  // saturation (0 is the exact blend with nothing skipped).
+  const auto codec = make_codec("trle");
+  for (const int w : {1, 2, 3, 5, 16, 17, 64, 65, 513}) {
+    const int h = 11;
+    const std::int64_t n = std::int64_t{w} * h;
+    const auto seed = 57u * static_cast<std::uint32_t>(w);
+    const img::Image src = run_image(w, h, seed);
+    const img::Image base = approx_dst(w, h, seed + 1);
+    const std::int64_t starts[] = {0,
+                                   2 * w,
+                                   std::min<std::int64_t>(1, n - 1),
+                                   2 * w + w / 2,
+                                   w,
+                                   3 * w + (w - 1)};
+    const std::int64_t lengths[] = {1, 2, w - 1, w, w + 1, 2 * w,
+                                    2 * w + 3, 4 * w - 1, 7 * w, n};
+    for (const std::int64_t begin : starts) {
+      for (const std::int64_t len : lengths) {
+        const img::PixelSpan span{begin, std::min(n, begin + len)};
+        if (span.size() <= 0) continue;
+        const BlockGeometry geom{w, span.begin};
+        const auto bytes = codec->encode(src.view(span), geom);
+        std::vector<img::GrayA8> scratch;
+        for (const bool front : {false, true}) {
+          for (const int sat : {0, 128, 200, 240, 255}) {
+            const std::span<const img::GrayA8> d0 = base.view(span);
+            std::vector<img::GrayA8> want(d0.begin(), d0.end());
+            std::vector<img::GrayA8> got = want;
+            std::vector<img::GrayA8> decoded(want.size());
+            codec->decode(bytes, decoded, geom);
+            const img::ApproxBlendStats ws =
+                img::blend_in_place_approx(want, decoded, front, sat);
+            const img::ApproxBlendStats gs = codec->decode_blend_approx(
+                bytes, got, geom, front, sat, scratch);
+            ASSERT_EQ(got, want) << "w=" << w << " span=[" << span.begin
+                                 << ", " << span.end << ") front=" << front
+                                 << " sat=" << sat;
+            ASSERT_EQ(gs.blended, ws.blended) << "w=" << w << " sat=" << sat;
+            ASSERT_EQ(gs.skipped, ws.skipped) << "w=" << w << " sat=" << sat;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Trle, FusedApproxRejectsHostileStreamsLikeDecode) {
+  const auto codec = make_codec("trle");
+  std::mt19937 rng(78);
+  int rejected = 0;
+  for (const int w : {3, 16, 17, 65}) {
+    const img::Image im = run_image(w, 9, 7u + static_cast<std::uint32_t>(w));
+    const img::Image dst = approx_dst(w, 9, 8u + static_cast<std::uint32_t>(w));
+    const std::int64_t n = im.pixel_count();
+    for (const img::PixelSpan span :
+         {img::PixelSpan{0, n}, img::PixelSpan{w + 1, n - 2}}) {
+      const BlockGeometry geom{w, span.begin};
+      const std::vector<std::byte> good = codec->encode(im.view(span), geom);
+      for (const std::vector<std::byte>& s : hostile_streams(good, rng)) {
+        for (const bool front : {false, true}) {
+          const std::span<const img::GrayA8> d0 = dst.view(span);
+          std::vector<img::GrayA8> want(d0.begin(), d0.end());
+          std::vector<img::GrayA8> got = want;
+          std::vector<img::GrayA8> scratch;
+          img::ApproxBlendStats ws;
+          const auto want_kind = decode_error([&] {
+            std::vector<img::GrayA8> decoded(want.size());
+            codec->decode(s, decoded, geom);
+            ws = img::blend_in_place_approx(want, decoded, front, 240);
+          });
+          img::ApproxBlendStats gs;
+          const auto got_kind = decode_error([&] {
+            gs = codec->decode_blend_approx(s, got, geom, front, 240,
+                                            scratch);
+          });
+          ASSERT_EQ(got_kind, want_kind) << "w=" << w << " size=" << s.size();
+          if (want_kind) {
+            ++rejected;
+            continue;
+          }
+          EXPECT_EQ(got, want) << "w=" << w;
+          EXPECT_EQ(gs.skipped, ws.skipped) << "w=" << w;
+          EXPECT_EQ(gs.blended, ws.blended) << "w=" << w;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 80);
 }
 
 }  // namespace

@@ -334,5 +334,23 @@ TEST(Schedule, AnyPMethodFallsBackOnlyWhereTheRuleBreaks) {
   EXPECT_EQ(any_p_method("pp", 7), "pp");
 }
 
+TEST(ScheduleBuilder, ContractErrorsNameTheSourceBelowSrc) {
+  // The message names the file from src/ down, so it reads the same in
+  // every checkout of a commit.
+  std::string what;
+  try {
+    (void)build_schedule("rt_n", 5, 1, 0);
+  } catch (const ContractError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find(" at rtc/core/schedule.cpp:"), std::string::npos)
+      << what;
+  EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  EXPECT_STREQ(detail::source_path("/x/src/y/src/rtc/a.cpp"), "rtc/a.cpp");
+  EXPECT_STREQ(detail::source_path("src/rtc/a.cpp"), "rtc/a.cpp");
+  EXPECT_STREQ(detail::source_path("/x/mysrc/b.cpp"), "b.cpp");
+  EXPECT_STREQ(detail::source_path("c.cpp"), "c.cpp");
+}
+
 }  // namespace
 }  // namespace rtc::core

@@ -6,9 +6,15 @@
 // image when the deadline allows, and both executors agree bit-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <random>
+#include <span>
 #include <vector>
 
+#include "rtc/core/schedule.hpp"
+#include "rtc/frames/coherence.hpp"
 #include "rtc/harness/experiment.hpp"
 #include "rtc/image/ops.hpp"
 #include "rtc/quality/quality.hpp"
@@ -162,6 +168,172 @@ TEST(Sampling, UpsampleReplicatesCells) {
   EXPECT_EQ(up.at(1, 0).v, 10);
   EXPECT_EQ(up.at(2, 0).v, 20);
   EXPECT_EQ(up.at(3, 0).v, 20);
+}
+
+// The per-cell progressive bound, downsample and upsample the band
+// walks replaced, kept as the references the property sweep pins them
+// to.
+int reference_bound(std::span<const img::Image> partials, int f) {
+  if (f < 2 || partials.empty()) return 255;
+  const int w = partials[0].width();
+  const int h = partials[0].height();
+  int worst = 0;
+  for (int y0 = 0; y0 < h; y0 += f) {
+    for (int x0 = 0; x0 < w; x0 += f) {
+      int cell = 0;
+      for (const img::Image& p : partials) {
+        int vmin = 255, vmax = 0, amin = 255, amax = 0;
+        for (int y = y0; y < std::min(h, y0 + f); ++y) {
+          for (int x = x0; x < std::min(w, x0 + f); ++x) {
+            vmin = std::min(vmin, int{p.at(x, y).v});
+            vmax = std::max(vmax, int{p.at(x, y).v});
+            amin = std::min(amin, int{p.at(x, y).a});
+            amax = std::max(amax, int{p.at(x, y).a});
+          }
+        }
+        cell += (vmax - vmin) + (amax - amin);
+      }
+      worst = std::max(worst, cell);
+    }
+  }
+  return std::min(255, worst + static_cast<int>(partials.size()) + 8);
+}
+
+img::Image reference_downsample(const img::Image& src, int f) {
+  img::Image out((src.width() + f - 1) / f, (src.height() + f - 1) / f);
+  for (int cy = 0; cy < out.height(); ++cy) {
+    for (int cx = 0; cx < out.width(); ++cx) {
+      const int x1 = std::min(src.width(), cx * f + f);
+      const int y1 = std::min(src.height(), cy * f + f);
+      std::uint32_t sv = 0, sa = 0;
+      for (int y = cy * f; y < y1; ++y) {
+        for (int x = cx * f; x < x1; ++x) {
+          sv += src.at(x, y).v;
+          sa += src.at(x, y).a;
+        }
+      }
+      const auto n =
+          static_cast<std::uint32_t>((x1 - cx * f) * (y1 - cy * f));
+      out.at(cx, cy) =
+          img::GrayA8{static_cast<std::uint8_t>((sv + n / 2) / n),
+                      static_cast<std::uint8_t>((sa + n / 2) / n)};
+    }
+  }
+  return out;
+}
+
+img::Image reference_upsample(const img::Image& coarse, int f, int w,
+                              int h) {
+  img::Image out(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) out.at(x, y) = coarse.at(x / f, y / f);
+  return out;
+}
+
+/// Uniform draw from [lo, hi].
+int draw(std::mt19937& rng, int lo, int hi) {
+  return std::uniform_int_distribution<int>(lo, hi)(rng);
+}
+
+/// One pixel of a class the band walks must treat alike: blank, opaque,
+/// translucent, or the non-blank {v > 0, a = 0}.
+img::GrayA8 class_pixel(std::mt19937& rng) {
+  const auto b = [&rng](int lo, int hi) {
+    return static_cast<std::uint8_t>(draw(rng, lo, hi));
+  };
+  switch (draw(rng, 0, 3)) {
+    case 0: return img::kBlank;
+    case 1: return img::GrayA8{b(0, 255), 255};
+    case 2: {
+      const std::uint8_t a = b(1, 254);
+      return img::GrayA8{b(0, a), a};
+    }
+    default: return img::GrayA8{b(1, 255), 0};
+  }
+}
+
+/// A partial of one family: 0 class pixels inside a random rectangle
+/// on blank (whole blank bands and columns), 1 class pixels everywhere,
+/// 2 a smooth low-alpha gradient whose bound stays under the clamp.
+img::Image family_partial(int w, int h, int family, std::mt19937& rng) {
+  img::Image im(w, h);
+  if (family == 2) {
+    const int phase = draw(rng, 0, 7);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        const int a = 8 + (x + y + phase) % 4;
+        im.at(x, y) = img::GrayA8{static_cast<std::uint8_t>(a / 2),
+                                  static_cast<std::uint8_t>(a)};
+      }
+    return im;
+  }
+  int x0 = 0, x1 = w, y0 = 0, y1 = h;
+  if (family == 0) {
+    x0 = draw(rng, 0, w - 1);
+    x1 = draw(rng, x0 + 1, w);
+    y0 = draw(rng, 0, h - 1);
+    y1 = draw(rng, y0 + 1, h);
+  }
+  for (int y = y0; y < y1; ++y)
+    for (int x = x0; x < x1; ++x) im.at(x, y) = class_pixel(rng);
+  return im;
+}
+
+TEST(Sampling, BandWalksMatchThePerCellReference) {
+  std::mt19937 rng(2601);
+  int under_clamp = 0;
+  int cases = 0;
+  // Every width and every height in 1..70, each paired with random
+  // partners, all three families, P 1..6 and factors 1..7.
+  for (int side = 1; side <= 70; ++side) {
+    for (int rep = 0; rep < 6; ++rep) {
+      const int other = draw(rng, 1, 70);
+      const int w = rep % 2 == 0 ? side : other;
+      const int h = rep % 2 == 0 ? other : side;
+      const int family = rep / 2;
+      const int p = draw(rng, 1, 6);
+      std::vector<img::Image> partials;
+      for (int r = 0; r < p; ++r)
+        partials.push_back(family_partial(w, h, family, rng));
+      for (int f = 1; f <= 7; ++f) {
+        const int want = reference_bound(partials, f);
+        ASSERT_EQ(progressive_error_bound(partials, f), want)
+            << w << "x" << h << " P=" << p << " f=" << f
+            << " family=" << family;
+        under_clamp += want < 255 ? 1 : 0;
+        ++cases;
+        for (const img::Image& part : partials) {
+          const img::Image coarse = img::downsample(part, f);
+          ASSERT_TRUE(images_equal(coarse, reference_downsample(part, f)))
+              << w << "x" << h << " f=" << f << " family=" << family;
+          ASSERT_TRUE(images_equal(img::upsample(coarse, f, w, h),
+                                   reference_upsample(coarse, f, w, h)))
+              << w << "x" << h << " f=" << f;
+        }
+      }
+      // The column range the walks skip by: no non-blank pixel of the
+      // band lies outside it, and its edge columns hold one.
+      const img::Image& im = partials[0];
+      const int y0 = draw(rng, 0, h - 1);
+      const int y1 = draw(rng, y0 + 1, h);
+      int lo = w, hi = 0;
+      for (int y = y0; y < y1; ++y)
+        for (int x = 0; x < w; ++x)
+          if (!img::is_blank(im.at(x, y))) {
+            lo = std::min(lo, x);
+            hi = std::max(hi, x + 1);
+          }
+      const img::ColumnRange cols = img::non_blank_columns(im, y0, y1);
+      EXPECT_EQ(cols.empty(), lo >= hi);
+      if (lo < hi) {
+        EXPECT_EQ(cols.begin, lo);
+        EXPECT_EQ(cols.end, hi);
+      }
+    }
+  }
+  // The smooth family keeps the bound below the clamp, so the sums are
+  // compared in full and not only through the early exit.
+  EXPECT_GT(under_clamp, cases / 10);
 }
 
 TEST(ApproxBlend, SkipsOnlySaturatedFrontsWithinPerPixelBound) {
@@ -322,6 +494,111 @@ TEST(Contract, ExecutorsAgreeBitExactlyOnDegradedRungs) {
     EXPECT_EQ(pooled.stats.error_bound, threaded.stats.error_bound);
     EXPECT_EQ(pooled.stats.total_approx_skipped_pixels(),
               threaded.stats.total_approx_skipped_pixels());
+  }
+}
+
+/// Rank r's partial for the pinned runs: even ranks translucent noise
+/// with blank holes, odd ranks opaque bands (long blank and full TRLE
+/// runs, saturated fronts for the approx rung); `smooth` gives every
+/// rank a low-alpha gradient whose progressive bound stays under the
+/// clamp.
+img::Image pinned_partial(int r, bool smooth) {
+  const auto seed = 4000u + static_cast<std::uint32_t>(r);
+  if (!smooth) {
+    return r % 2 == 0 ? test::random_image(37, 23, seed, 0.4, false)
+                      : test::banded_image(37, 23, seed, 5 + r % 3);
+  }
+  img::Image im(37, 23);
+  for (int y = 0; y < im.height(); ++y) {
+    for (int x = 0; x < im.width(); ++x) {
+      const int a = 20 + (x + 2 * y + 3 * r) % 8;
+      im.at(x, y) = img::GrayA8{static_cast<std::uint8_t>(a / 2),
+                                static_cast<std::uint8_t>(a)};
+    }
+  }
+  return im;
+}
+
+struct PinnedRung {
+  const char* method;
+  int blocks;
+  std::uint64_t hash;
+};
+
+TEST(Quality, DegradedRunsArePinned) {
+  // The contract tests above bound the error; this pins the bytes. Per
+  // method, every approx and progressive run over P in {3, 8, 16}, raw
+  // and trle, noisy and smooth partials (plus a progressive run whose
+  // deadline stops it at the coarse pass) folds its gathered image
+  // hash, error bound, measured error, skipped blends, coarse pixels
+  // and virtual times into one FNV-1a constant. A wall-clock change to
+  // the degraded rungs must leave every constant as it is.
+  const std::vector<PinnedRung> methods = {
+      {"rt_n", 3, 0x7803edd0e8751ec9ull},
+      {"rt_2n", 4, 0x521c2f60261f323bull},
+      {"bswap", 1, 0x7ea2a3300165ab0cull},
+      {"bswap_any", 1, 0x7ea2a3300165ab0cull},
+      {"direct", 1, 0x4fc12a690f91c4a5ull},
+      {"radix", 4, 0x828001f72c6434bdull},
+      {"pp", 1, 0x932ca60843277eb3ull},
+  };
+  for (const PinnedRung& m : methods) {
+    std::uint64_t fold = 1469598103934665603ull;
+    const auto mix = [&fold](std::uint64_t v) {
+      fold = (fold ^ v) * 1099511628211ull;
+    };
+    const auto mix_run = [&](const harness::CompositionRun& run) {
+      mix(frames::hash_pixels(run.image.pixels()));
+      mix(static_cast<std::uint64_t>(run.stats.error_bound));
+      mix(static_cast<std::uint64_t>(run.stats.max_pixel_error));
+      mix(static_cast<std::uint64_t>(
+          run.stats.total_approx_skipped_pixels()));
+      mix(static_cast<std::uint64_t>(run.stats.coarse_pixels));
+      mix(std::bit_cast<std::uint64_t>(run.time));
+      mix(std::bit_cast<std::uint64_t>(run.first_light));
+    };
+    for (const int p : {3, 8, 16}) {
+      for (const bool smooth : {false, true}) {
+        std::vector<img::Image> partials;
+        for (int r = 0; r < p; ++r)
+          partials.push_back(pinned_partial(r, smooth));
+        for (const char* codec : {"raw", "trle"}) {
+          for (const Rung rung : {Rung::kApprox, Rung::kProgressive}) {
+            harness::CompositionConfig cfg;
+            cfg.method = core::any_p_method(m.method, p);
+            cfg.initial_blocks = m.blocks;
+            cfg.codec = codec;
+            cfg.gather = true;
+            cfg.quality.max_rung = rung;
+            cfg.quality_rung = rung;
+            const harness::CompositionRun run =
+                harness::run_composition(cfg, partials);
+            ASSERT_EQ(run.stats.quality_rung, static_cast<int>(rung))
+                << m.method << " P=" << p << " codec=" << codec;
+            // Both regimes are pinned: skipped blends on the noisy set
+            // (radix and pp blend exactly at every rung), a progressive
+            // bound below the clamp on the smooth one.
+            if (rung == Rung::kApprox && !smooth &&
+                core::is_schedule_method(cfg.method)) {
+              EXPECT_GT(run.stats.total_approx_skipped_pixels(), 0);
+            }
+            if (rung == Rung::kProgressive) {
+              EXPECT_EQ(run.stats.error_bound < 255, smooth);
+            }
+            mix_run(run);
+            if (rung != Rung::kProgressive || smooth) continue;
+            cfg.deadline = run.first_light;
+            cfg.resilience.on_peer_loss =
+                comm::ResiliencePolicy::PeerLoss::kBlank;
+            const harness::CompositionRun coarse =
+                harness::run_composition(cfg, partials);
+            ASSERT_FALSE(coarse.refined) << m.method << " P=" << p;
+            mix_run(coarse);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(fold, m.hash) << m.method << ": 0x" << std::hex << fold;
   }
 }
 

@@ -1,15 +1,19 @@
 // Render-service front end: traffic determinism, admission policies,
 // request batching, end-to-end conservation laws, executor
-// determinism, the zero-shed ≡ run_sequence identity, and fault
-// isolation to the crash submission's sessions.
+// determinism, the zero-shed ≡ run_sequence identity, the error
+// contract on the stale/blank classes, and fault isolation to the crash
+// submission's sessions.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <set>
 #include <vector>
 
 #include "rtc/comm/fault.hpp"
+#include "rtc/frames/coherence.hpp"
 #include "rtc/frames/pipeline.hpp"
+#include "rtc/image/ops.hpp"
 #include "rtc/service/admission.hpp"
 #include "rtc/service/batcher.hpp"
 #include "rtc/service/service.hpp"
@@ -405,6 +409,69 @@ TEST(RunService, ZeroShedMatchesRunSequenceByteForByte) {
         images_equal(res.submissions[f].image, seq.frames[f].run.image))
         << "submission " << f;
   }
+}
+
+// The error contract binds the stale/blank classes too: under a
+// max_error below their a-priori 255, an overloaded session whose class
+// steps down to stale composes at the deepest rung the contract admits
+// instead. A full-width contract keeps serving stale frames; the fold
+// pins that run's frames, errors and latencies.
+TEST(RunService, MaxErrorBindsStaleAndBlankClasses) {
+  ServiceConfig sc;
+  sc.ranks = 4;
+  sc.volume_n = 24;
+  sc.image_size = 32;
+  sc.comp.gather = true;
+  sc.comp.record_spans = true;
+  sc.traffic.sessions = 4;
+  sc.traffic.requests_per_session = 6;
+  sc.traffic.arrival_rate = 400.0;
+  sc.queue_cap = 2;
+  sc.comp.quality.max_rung = quality::Rung::kStale;
+  sc.comp.quality.degrade_before_shed = true;
+  // A stale/blank serve is a frame-stamped kDegrade instant (class
+  // steps at admission carry no frame).
+  const auto stale_serves = [](const ServiceResult& r) {
+    int n = 0;
+    for (const obs::Span& s : r.service_spans)
+      if (s.kind == obs::SpanKind::kDegrade && s.frame >= 0) ++n;
+    return n;
+  };
+
+  const ServiceResult full = run_service(sc);
+  ASSERT_GT(stale_serves(full), 0) << "the overload must reach stale";
+  EXPECT_EQ(full.stats.error_bound, 255);
+  std::uint64_t fold = 1469598103934665603ull;
+  const auto mix = [&fold](std::uint64_t v) {
+    fold = (fold ^ v) * 1099511628211ull;
+  };
+  for (const Submission& sub : full.submissions)
+    mix(frames::hash_pixels(sub.image.pixels()));
+  for (const comm::SessionStats& s : full.stats.sessions) {
+    mix(static_cast<std::uint64_t>(s.max_pixel_error));
+    mix(static_cast<std::uint64_t>(s.stale_pixels));
+    mix(static_cast<std::uint64_t>(s.quality_floor));
+  }
+  for (const Delivery& d : full.deliveries)
+    mix(std::bit_cast<std::uint64_t>(d.latency()));
+  mix(static_cast<std::uint64_t>(full.stats.max_pixel_error));
+  EXPECT_EQ(fold, 0x2505e304dad363b9ull) << "0x" << std::hex << fold;
+
+  sc.comp.quality.max_error = 46;  // the approx bound at saturation 240
+  const ServiceResult bound = run_service(sc);
+  EXPECT_EQ(stale_serves(bound), 0);
+  EXPECT_EQ(bound.stats.total_session_drops(), 0);
+  EXPECT_LE(bound.stats.quality_rung,
+            static_cast<int>(quality::Rung::kProgressive));
+  EXPECT_LE(bound.stats.error_bound, 46);
+  EXPECT_LE(bound.stats.max_pixel_error, 46);
+  for (const comm::SessionStats& s : bound.stats.sessions) {
+    EXPECT_LE(s.max_pixel_error, 46) << "session " << s.session;
+    EXPECT_EQ(s.stale_pixels, 0) << "session " << s.session;
+  }
+  // No blank frame either: every submission composed a real image.
+  for (const Submission& sub : bound.submissions)
+    EXPECT_GT(img::count_non_blank(sub.image.pixels()), 0);
 }
 
 // Fault isolation: a crash injected at one submission degrades exactly
