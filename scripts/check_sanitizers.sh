@@ -18,7 +18,9 @@
 # progressive down/upsample resamplers index pixel spans directly. The
 # address and undefined modes also run the renderer suite, whose
 # shear-warp loops index the intermediate image and clip the warp to
-# the brick's screen box.
+# the brick's screen box. Every mode runs blend_radix_test and
+# conformance_fuzz_test: they drive radix, pp_exact and aggregated
+# messages through the one receive path (compositing::recv_blocks).
 #
 # Usage: scripts/check_sanitizers.sh [thread|address|undefined|all]
 # (default: all). $BUILD_DIR overrides the build-directory prefix
@@ -29,7 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
-THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test"
+THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test|blend_radix_test|conformance_fuzz_test"
 MEMORY_TESTS="$THREAD_TESTS|simd_kernels_test|simd_dispatch_test|ops_test|codec_test|trle_test|render_test"
 MEMORY_TARGETS="simd_kernels_test simd_dispatch_test ops_test codec_test trle_test render_test"
 
@@ -46,7 +48,8 @@ run_mode() {
   cmake --build "$dir" -j --target \
         world_test frame_test chaos_test wire_test methods_test \
         fuzz_corpus_test membership_test recompose_test breaker_test \
-        executor_test hierarchical_test quality_test $extra_targets
+        executor_test hierarchical_test quality_test blend_radix_test \
+        conformance_fuzz_test $extra_targets
   # Same per-test timeout CI uses: a sanitizer-found deadlock should
   # fail the run, not hang it.
   (cd "$dir" && RTC_EXECUTOR="$executor" \

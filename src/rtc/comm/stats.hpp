@@ -205,7 +205,7 @@ struct SessionStats {
   // Quality-ladder accounting (zero unless --degrade-before-shed /
   // a quality policy engaged for this session).
   std::int64_t quality_degrades = 0;  ///< admission stepped the class down
-  int quality_floor = 0;     ///< deepest quality::Rung this session hit
+  int quality_floor = 0;     ///< deepest quality::Rung a delivery ran at
   std::int64_t stale_pixels = 0;  ///< stale-substituted px in deliveries
   int max_pixel_error = 0;   ///< worst reported error on its deliveries
 

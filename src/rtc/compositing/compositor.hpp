@@ -62,14 +62,14 @@ struct Options {
   comm::ResiliencePolicy resilience;
 
   /// Quality ladder's approximate rung (kApprox): when > 0 and the
-  /// blend is kOver, the fused decode-blend of an incoming block skips
-  /// pixels whose front accumulation is already >= this alpha, and
-  /// only the actually-blended pixels are charged To. Per-pixel error
-  /// versus exact is <= 255 - saturation; skips are recorded via
+  /// blend is kOver, every blend of every method skips pixels whose
+  /// front accumulation is already >= this alpha, and only the
+  /// actually-blended pixels are charged To. Per-pixel error versus
+  /// exact is <= 255 - saturation; skips are recorded via
   /// Comm::note_approx. 0 (default) is the exact path, byte-identical
-  /// to pre-quality builds. Engaged on the fused wire path (direct,
-  /// bswap, bswap_any, rt*, hier); the pp ring's traveling-segment
-  /// blends stay exact (their error contribution is 0).
+  /// to pre-quality builds. One rule carries it to every method:
+  /// compositing::blend_block, and the fused decode-blend that shares
+  /// its charge step.
   int approx_saturation = 0;
 
   // --- frame-pipeline hooks (frames subsystem) --------------------

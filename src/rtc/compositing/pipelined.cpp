@@ -23,7 +23,6 @@
 #include "rtc/common/wire.hpp"
 #include "rtc/compositing/compositor.hpp"
 #include "rtc/compositing/wire.hpp"
-#include "rtc/image/ops.hpp"
 #include "rtc/image/tiling.hpp"
 
 namespace rtc::compositing {
@@ -80,23 +79,21 @@ class Pipelined final : public Compositor {
       const std::span<const img::GrayA8> mine = partial.view(s);
       const int initiator = mod(recv_block_id + 1, p);
       const bool at_seam = (r == 0 && initiator != 0);
-      if (opt.blend == img::BlendMode::kMax) {
-        // Commutative merge: no seam, no segments, any order works.
-        img::max_in_place(state.back, mine);
-        comm.charge_over(s.size());
-      } else if (exact_ && at_seam) {
+      if (exact_ && at_seam && opt.blend == img::BlendMode::kOver) {
         // Start the front segment rather than fusing across the seam.
         RTC_CHECK(state.front.empty());
         state.front.assign(mine.begin(), mine.end());
-      } else if (!state.front.empty()) {
-        // Post-seam (exact mode): extend the front segment behind.
-        img::over_in_place_back(state.front, mine);
-        comm.charge_over(s.size());
       } else {
-        // Pre-seam, or loose mode: the arrival is in front of me in
-        // ring order, so my pixels go behind it.
-        img::over_in_place_back(state.back, mine);
-        comm.charge_over(s.size());
+        // The arrival is in front of me in ring order, so my pixels go
+        // behind it: behind the front segment post-seam (exact mode),
+        // else behind the back one. `max` commutes, so it has no seam
+        // and no front segment.
+        std::vector<img::GrayA8>& acc =
+            opt.blend == img::BlendMode::kOver && !state.front.empty()
+                ? state.front
+                : state.back;
+        blend_block(comm, acc, mine, opt.blend, /*src_front=*/false,
+                    opt.approx_saturation);
       }
 
       comm.mark(t);
@@ -104,8 +101,8 @@ class Pipelined final : public Compositor {
         // Block recv_block_id == r is complete; join segments.
         RTC_CHECK(recv_block_id == r);
         if (!state.front.empty()) {
-          img::over_in_place_back(state.front, state.back);
-          comm.charge_over(s.size());
+          blend_block(comm, state.front, state.back, img::BlendMode::kOver,
+                      /*src_front=*/false, opt.approx_saturation);
           final_pixels = std::move(state.front);
         } else {
           final_pixels = std::move(state.back);
@@ -143,55 +140,39 @@ class Pipelined final : public Compositor {
     comm.send(dst, tag, std::move(payload));
   }
 
+  /// Receives the traveling accumulation of `block_id`. A lost or
+  /// malformed one restarts from a blank segment; downstream ranks
+  /// still fold their own contributions in, so the block degrades to a
+  /// partial stack.
   static State recv_state(comm::Comm& comm, int src, int tag,
                           const img::Tiling& tiling, int block_id,
                           int width, const compress::Codec* codec,
                           const comm::ResiliencePolicy& policy) {
     const img::PixelSpan s = tiling.block(0, block_id);
     const compress::BlockGeometry geom{width, s.begin};
-    std::vector<std::byte> payload;
-    if (policy.degrade_on_loss()) {
-      std::optional<std::vector<std::byte>> p = comm.try_recv(src, tag);
-      if (!p) {
-        // The traveling accumulation for this block is gone: restart it
-        // from a blank segment; downstream ranks still fold their own
-        // contributions in, so the block degrades to a partial stack.
-        comm.note_loss(block_id, s.size());
-        State blank;
-        blank.back.assign(static_cast<std::size_t>(s.size()), img::kBlank);
-        return blank;
-      }
-      payload = std::move(*p);
-    } else {
-      payload = comm.recv(src, tag);
+    const auto pixels = static_cast<std::size_t>(s.size());
+    State state;
+    const CarriedBlock carried[] = {{block_id, s.size()}};
+    const bool ok = recv_blocks(
+        comm, src, tag, policy, carried,
+        [&](std::span<const std::byte> payload, std::size_t&) {
+          wire::WireReader in(payload);
+          if (in.u8("segment-state flag") != 0) {
+            state.front.resize(pixels);
+            decode_block(comm, tag,
+                         in.length_prefixed("length-prefixed block"),
+                         state.front, geom, codec);
+          }
+          state.back.resize(pixels);
+          decode_block(comm, tag, in.length_prefixed("length-prefixed block"),
+                       state.back, geom, codec);
+          in.finish("ring segment payload");
+        });
+    if (!ok) {
+      state.front.clear();
+      state.back.assign(pixels, img::kBlank);
     }
-    if (comm.last_recv_stale()) comm.note_stale(block_id, s.size());
-    try {
-      wire::WireReader r(payload);
-      const bool has_front = r.u8("segment-state flag") != 0;
-      std::span<const std::byte> rest = r.rest();
-      const auto pixels = static_cast<std::size_t>(s.size());
-      State state;
-      if (has_front) {
-        state.front.resize(pixels);
-        take_block(comm, tag, rest, state.front, geom, codec);
-      }
-      state.back.resize(pixels);
-      take_block(comm, tag, rest, state.back, geom, codec);
-      wire::require(rest.empty(), wire::DecodeError::Kind::kTrailing,
-                    "ring segment payload");
-      comm.pool().release(std::move(payload));
-      return state;
-    } catch (const wire::DecodeError&) {
-      // Malformed traveling accumulation: degrade like a lost message
-      // under kBlank (blank restart), propagate under kThrow.
-      if (!policy.degrade_on_loss()) throw;
-      comm.pool().release(std::move(payload));
-      comm.note_loss(block_id, s.size());
-      State blank;
-      blank.back.assign(static_cast<std::size_t>(s.size()), img::kBlank);
-      return blank;
-    }
+    return state;
   }
 
   bool exact_;

@@ -19,7 +19,6 @@
 #include "rtc/compositing/compositor.hpp"
 #include "rtc/compositing/wire.hpp"
 #include "rtc/frames/coherence.hpp"
-#include "rtc/image/ops.hpp"
 
 namespace rtc::compositing {
 
@@ -120,31 +119,28 @@ class RadixK final : public Compositor {
       const compress::BlockGeometry geom{partial.width(), mine.begin};
       std::vector<std::vector<img::GrayA8>> arrived(
           static_cast<std::size_t>(g));
-      std::vector<std::uint8_t> ok(static_cast<std::size_t>(g), 0);
-      // A coherent clean-blank arrival is *not* a loss, but it is the
-      // blend identity — skip its fold (and blend charge) like a loss.
-      std::vector<std::uint8_t> blank(static_cast<std::size_t>(g), 0);
+      // A lost piece and a coherent clean-blank one are both the blend
+      // identity: their folds (and blend charges) are skipped.
+      std::vector<std::uint8_t> fold_it(static_cast<std::size_t>(g), 0);
       for (int j = 0; j < g; ++j) {
         if (j == digit) continue;
-        arrived[static_cast<std::size_t>(j)].resize(
-            static_cast<std::size_t>(mine.size()));
-        bool clean_blank = false;
-        ok[static_cast<std::size_t>(j)] = recv_block_or_blank(
-            comm, base + j * stride, tag,
-            arrived[static_cast<std::size_t>(j)], geom, opt.codec,
-            opt.resilience, /*block_id=*/base + j * stride, coherent,
-            &clean_blank);
-        blank[static_cast<std::size_t>(j)] = clean_blank ? 1 : 0;
+        const auto ju = static_cast<std::size_t>(j);
+        arrived[ju].resize(static_cast<std::size_t>(mine.size()));
+        const CarriedBlock carried[] = {{base + j * stride, mine.size()}};
+        recv_blocks(comm, base + j * stride, tag, opt.resilience, carried,
+                    [&](std::span<const std::byte> bytes, std::size_t&) {
+                      fold_it[ju] = !decode_block(comm, tag, bytes,
+                                                  arrived[ju], geom,
+                                                  opt.codec, coherent);
+                    });
       }
       auto fold = [&](int j, bool front) {
-        if (!ok[static_cast<std::size_t>(j)]) return;     // lost: blank
-        if (blank[static_cast<std::size_t>(j)]) return;   // identity
-        img::blend_in_place(std::span<img::GrayA8>(own).subspan(
-                                offset(mine),
-                                static_cast<std::size_t>(mine.size())),
-                            arrived[static_cast<std::size_t>(j)],
-                            opt.blend, front);
-        comm.charge_over(mine.size());
+        if (!fold_it[static_cast<std::size_t>(j)]) return;
+        blend_block(comm,
+                    std::span<img::GrayA8>(own).subspan(
+                        offset(mine), static_cast<std::size_t>(mine.size())),
+                    arrived[static_cast<std::size_t>(j)], opt.blend, front,
+                    opt.approx_saturation);
       };
       for (int j = digit - 1; j >= 0; --j) fold(j, /*front=*/true);
       for (int j = digit + 1; j < g; ++j) fold(j, /*front=*/false);

@@ -1,6 +1,7 @@
 #include "rtc/compositing/wire.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "rtc/common/check.hpp"
 #include "rtc/common/wire.hpp"
@@ -121,99 +122,46 @@ std::span<const std::byte> strip_marker(std::span<const std::byte> bytes,
   return bytes.subspan(1);
 }
 
-/// Decodes one block payload into `out` and charges codec time. A
-/// coherent clean-blank marker fills `out` blank for free (no codec
-/// charge — nothing traveled, nothing decodes); `*clean_blank` reports
-/// it so callers can also skip the blend charge.
-void decode_block(comm::Comm& comm, int tag,
-                  std::span<const std::byte> bytes,
-                  std::span<img::GrayA8> out,
-                  const compress::BlockGeometry& geom,
-                  const compress::Codec* codec, bool coherent = false,
-                  bool* clean_blank = nullptr) {
-  bool blank = false;
-  bytes = strip_marker(bytes, coherent, &blank);
-  if (clean_blank != nullptr) *clean_blank = blank;
-  const auto pixels = static_cast<std::int64_t>(out.size());
-  if (blank) {
-    std::fill(out.begin(), out.end(), img::kBlank);
-    comm.note_span(obs::SpanKind::kBlankSkip, tag, 0, pixels);
-    return;
-  }
-  if (codec == nullptr) {
-    img::deserialize_pixels(bytes, out);
-    comm.note_span(obs::SpanKind::kDecode, tag,
-                   static_cast<std::int64_t>(bytes.size()), pixels);
-  } else {
-    const std::int64_t w0 =
-        comm.trace().enabled() ? obs::wall_now_ns() : -1;
-    codec->decode(bytes, out, geom);
-    comm.charge_span(obs::SpanKind::kDecode, tag,
-                     codec_time(comm, out.size()),
-                     static_cast<std::int64_t>(bytes.size()), pixels, w0);
-  }
+/// The blend's charge step, shared by blend_block and the codecs'
+/// fused walks: To for the blended pixels, skips to note_approx.
+void charge_blend(comm::Comm& comm, const img::ApproxBlendStats& st) {
+  comm.charge_over(st.blended);
+  if (st.skipped > 0) comm.note_approx(st.skipped);
 }
 
-/// Fused decode-and-blend of one block payload into `dst`; charges the
-/// same codec time plus the blend's To that the decode-then-blend path
-/// would, so virtual-time results are unchanged. A coherent
-/// clean-blank block is the blend identity: `dst` is untouched and
-/// neither codec nor blend time is charged.
-void decode_blend_block(comm::Comm& comm, int tag,
-                        std::span<const std::byte> bytes,
-                        std::span<img::GrayA8> dst,
-                        const compress::BlockGeometry& geom,
-                        const compress::Codec* codec, img::BlendMode mode,
-                        bool src_front, std::vector<img::GrayA8>& scratch,
-                        bool coherent = false, int saturation = 0) {
-  bool blank = false;
-  bytes = strip_marker(bytes, coherent, &blank);
-  const auto pixels = static_cast<std::int64_t>(dst.size());
-  if (blank) {
-    comm.note_span(obs::SpanKind::kBlankSkip, tag, 0, pixels);
-    return;
-  }
-  if (saturation > 0 && mode == img::BlendMode::kOver) {
-    // Approximate rung: blend with opacity-saturation early
-    // termination, fused with the decode where the codec has a fused
-    // walk (TRLE). Only the actually-blended pixels are charged To, so
-    // the saving shows up on the virtual clock; skips are pure pixel
-    // arithmetic and replay bit-exactly.
-    const std::int64_t w0 =
-        comm.trace().enabled() ? obs::wall_now_ns() : -1;
-    img::ApproxBlendStats st;
-    if (codec == nullptr) {
-      scratch.resize(dst.size());
-      img::deserialize_pixels(bytes, scratch);
-      st = img::blend_in_place_approx(dst, scratch, src_front, saturation);
-      comm.note_span(obs::SpanKind::kDecodeBlend, tag,
-                     static_cast<std::int64_t>(bytes.size()), pixels);
-    } else {
-      st = codec->decode_blend_approx(bytes, dst, geom, src_front,
-                                      saturation, scratch);
-      comm.charge_span(obs::SpanKind::kDecodeBlend, tag,
-                       codec_time(comm, dst.size()),
-                       static_cast<std::int64_t>(bytes.size()), pixels, w0);
+/// The approximate rung's blend applies to `over` only; `max` commutes
+/// and has nothing to saturate.
+bool approx_rule(img::BlendMode mode, int saturation) {
+  return saturation > 0 && mode == img::BlendMode::kOver;
+}
+
+/// Both gathers: sends this rank's `payload` to `root`, which scatters
+/// each valid one with `scatter` (returning the pixels it wrote) into
+/// the assembled image. A substituted payload is noted stale once it
+/// scattered; a lost rank stays blank with no further accounting.
+template <class Scatter>
+img::Image gather_payloads(comm::Comm& comm, int root,
+                           std::vector<std::byte> payload, int width,
+                           int height, Scatter scatter) {
+  const comm::GatherResult all =
+      comm::gather_partial(comm, root, kGatherTag, std::move(payload));
+  if (comm.rank() != root) return img::Image{};
+  const bool degrade = comm.resilience().degrade_on_loss();
+  img::Image out(width, height);
+  for (std::size_t src = 0; src < all.payloads.size(); ++src) {
+    if (!all.valid[src]) continue;  // lost rank: its pixels stay blank
+    try {
+      const std::int64_t px = scatter(out, all.payloads[src]);
+      if (all.stale[src])
+        comm.note_stale(static_cast<std::int64_t>(src), px);
+    } catch (const wire::DecodeError&) {
+      if (!degrade) throw;
+      // Malformed gather payload: the sender's remaining pixels stay
+      // blank, recorded as a loss attributed to that rank.
+      comm.note_loss(static_cast<std::int64_t>(src), 0);
     }
-    comm.charge_over(st.blended);
-    if (st.skipped > 0) comm.note_approx(st.skipped);
-    return;
   }
-  if (codec == nullptr) {
-    scratch.resize(dst.size());
-    img::deserialize_pixels(bytes, scratch);
-    img::blend_in_place(dst, scratch, mode, src_front);
-    comm.note_span(obs::SpanKind::kDecodeBlend, tag,
-                   static_cast<std::int64_t>(bytes.size()), pixels);
-  } else {
-    const std::int64_t w0 =
-        comm.trace().enabled() ? obs::wall_now_ns() : -1;
-    codec->decode_blend(bytes, dst, geom, mode, src_front, scratch);
-    comm.charge_span(obs::SpanKind::kDecodeBlend, tag,
-                     codec_time(comm, dst.size()),
-                     static_cast<std::int64_t>(bytes.size()), pixels, w0);
-  }
-  comm.charge_over(static_cast<std::int64_t>(dst.size()));
+  return out;
 }
 
 }  // namespace
@@ -228,80 +176,119 @@ void send_block(comm::Comm& comm, int dst, int tag,
   comm.send(dst, tag, std::move(bytes));
 }
 
-void recv_block(comm::Comm& comm, int src, int tag,
-                std::span<img::GrayA8> out,
-                const compress::BlockGeometry& geom,
-                const compress::Codec* codec, bool coherent) {
-  std::vector<std::byte> bytes = comm.recv(src, tag);
-  decode_block(comm, tag, bytes, out, geom, codec, coherent);
-  comm.pool().release(std::move(bytes));
-}
-
-bool recv_block_or_blank(comm::Comm& comm, int src, int tag,
-                         std::span<img::GrayA8> out,
-                         const compress::BlockGeometry& geom,
-                         const compress::Codec* codec,
-                         const comm::ResiliencePolicy& policy,
-                         std::int64_t block_id, bool coherent,
-                         bool* clean_blank) {
-  if (clean_blank != nullptr) *clean_blank = false;
-  if (!policy.degrade_on_loss()) {
-    std::vector<std::byte> bytes = comm.recv(src, tag);
-    decode_block(comm, tag, bytes, out, geom, codec, coherent,
-                 clean_blank);
-    comm.pool().release(std::move(bytes));
-    return true;
+bool recv_blocks(comm::Comm& comm, int src, int tag,
+                 const comm::ResiliencePolicy& policy,
+                 std::span<const CarriedBlock> blocks,
+                 PayloadDecoder decode) {
+  const bool degrade = policy.degrade_on_loss();
+  std::optional<std::vector<std::byte>> payload;
+  if (degrade) {
+    payload = comm.try_recv(src, tag);
+  } else {
+    payload = comm.recv(src, tag);
   }
-  std::optional<std::vector<std::byte>> bytes = comm.try_recv(src, tag);
-  if (bytes) {
+  const bool stale = payload && comm.last_recv_stale();
+  std::size_t done = 0;
+  bool whole = false;
+  if (payload) {
     try {
-      decode_block(comm, tag, *bytes, out, geom, codec, coherent,
-                   clean_blank);
-      comm.pool().release(std::move(*bytes));
-      if (comm.last_recv_stale())
-        comm.note_stale(block_id, static_cast<std::int64_t>(out.size()));
-      return true;
+      decode(*payload, done);
+      whole = true;
+      done = blocks.size();
     } catch (const wire::DecodeError&) {
       // A payload that passed the CRC but fails validation (collision,
-      // buggy peer) degrades exactly like a loss.
-      comm.pool().release(std::move(*bytes));
+      // buggy peer, hostile stale bytes) degrades exactly like a loss.
+      if (!degrade) throw;
+    }
+    comm.pool().release(std::move(*payload));
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i >= done) {
+      comm.note_loss(blocks[i].id, blocks[i].pixels);
+    } else if (stale) {
+      comm.note_stale(blocks[i].id, blocks[i].pixels);
     }
   }
-  std::fill(out.begin(), out.end(), img::kBlank);
-  comm.note_loss(block_id, static_cast<std::int64_t>(out.size()));
+  return whole;
+}
+
+void blend_block(comm::Comm& comm, std::span<img::GrayA8> dst,
+                 std::span<const img::GrayA8> src, img::BlendMode mode,
+                 bool src_front, int saturation) {
+  if (approx_rule(mode, saturation)) {
+    charge_blend(comm,
+                 img::blend_in_place_approx(dst, src, src_front, saturation));
+    return;
+  }
+  img::blend_in_place(dst, src, mode, src_front);
+  charge_blend(comm, {static_cast<std::int64_t>(dst.size()), 0});
+}
+
+bool decode_block(comm::Comm& comm, int tag,
+                  std::span<const std::byte> bytes,
+                  std::span<img::GrayA8> out,
+                  const compress::BlockGeometry& geom,
+                  const compress::Codec* codec, bool coherent) {
+  bool blank = false;
+  bytes = strip_marker(bytes, coherent, &blank);
+  const auto pixels = static_cast<std::int64_t>(out.size());
+  if (blank) {
+    std::fill(out.begin(), out.end(), img::kBlank);
+    comm.note_span(obs::SpanKind::kBlankSkip, tag, 0, pixels);
+    return true;
+  }
+  if (codec == nullptr) {
+    img::deserialize_pixels(bytes, out);
+    comm.note_span(obs::SpanKind::kDecode, tag,
+                   static_cast<std::int64_t>(bytes.size()), pixels);
+  } else {
+    const std::int64_t w0 =
+        comm.trace().enabled() ? obs::wall_now_ns() : -1;
+    codec->decode(bytes, out, geom);
+    comm.charge_span(obs::SpanKind::kDecode, tag,
+                     codec_time(comm, out.size()),
+                     static_cast<std::int64_t>(bytes.size()), pixels, w0);
+  }
   return false;
 }
 
-bool recv_block_blend(comm::Comm& comm, int src, int tag,
-                      std::span<img::GrayA8> dst,
-                      const compress::BlockGeometry& geom,
-                      const compress::Codec* codec, img::BlendMode mode,
-                      bool src_front, const comm::ResiliencePolicy& policy,
-                      std::int64_t block_id,
-                      std::vector<img::GrayA8>& scratch, bool coherent,
-                      int saturation) {
-  if (!policy.degrade_on_loss()) {
-    std::vector<std::byte> bytes = comm.recv(src, tag);
-    decode_blend_block(comm, tag, bytes, dst, geom, codec, mode, src_front,
-                       scratch, coherent, saturation);
-    comm.pool().release(std::move(bytes));
-    return true;
+void decode_blend_block(comm::Comm& comm, int tag,
+                        std::span<const std::byte> bytes,
+                        std::span<img::GrayA8> dst,
+                        const compress::BlockGeometry& geom,
+                        const compress::Codec* codec, img::BlendMode mode,
+                        bool src_front, std::vector<img::GrayA8>& scratch,
+                        bool coherent, int saturation) {
+  bool blank = false;
+  bytes = strip_marker(bytes, coherent, &blank);
+  const auto pixels = static_cast<std::int64_t>(dst.size());
+  if (blank) {
+    comm.note_span(obs::SpanKind::kBlankSkip, tag, 0, pixels);
+    return;
   }
-  std::optional<std::vector<std::byte>> bytes = comm.try_recv(src, tag);
-  if (bytes) {
-    try {
-      decode_blend_block(comm, tag, *bytes, dst, geom, codec, mode,
-                         src_front, scratch, coherent, saturation);
-      comm.pool().release(std::move(*bytes));
-      if (comm.last_recv_stale())
-        comm.note_stale(block_id, static_cast<std::int64_t>(dst.size()));
-      return true;
-    } catch (const wire::DecodeError&) {
-      comm.pool().release(std::move(*bytes));
-    }
+  if (codec == nullptr) {
+    scratch.resize(dst.size());
+    img::deserialize_pixels(bytes, scratch);
+    comm.note_span(obs::SpanKind::kDecodeBlend, tag,
+                   static_cast<std::int64_t>(bytes.size()), pixels);
+    blend_block(comm, dst, scratch, mode, src_front, saturation);
+    return;
   }
-  comm.note_loss(block_id, static_cast<std::int64_t>(dst.size()));
-  return false;
+  // The codec's fused walk. Under the approx rule only the blended
+  // pixels are charged To, so the saving shows on the virtual clock;
+  // skips are pure pixel arithmetic and replay bit-exactly.
+  const std::int64_t w0 = comm.trace().enabled() ? obs::wall_now_ns() : -1;
+  img::ApproxBlendStats st{pixels, 0};
+  if (approx_rule(mode, saturation)) {
+    st = codec->decode_blend_approx(bytes, dst, geom, src_front, saturation,
+                                    scratch);
+  } else {
+    codec->decode_blend(bytes, dst, geom, mode, src_front, scratch);
+  }
+  comm.charge_span(obs::SpanKind::kDecodeBlend, tag,
+                   codec_time(comm, dst.size()),
+                   static_cast<std::int64_t>(bytes.size()), pixels, w0);
+  charge_blend(comm, st);
 }
 
 void append_block(comm::Comm& comm, int tag,
@@ -317,44 +304,6 @@ void append_block(comm::Comm& comm, int tag,
   const std::size_t body_begin = payload.size();
   encode_block_into(comm, tag, px, geom, codec, payload, cache, peer);
   w.patch_u64(at, static_cast<std::uint64_t>(payload.size() - body_begin));
-}
-
-void take_block(comm::Comm& comm, int tag,
-                std::span<const std::byte>& rest,
-                std::span<img::GrayA8> out,
-                const compress::BlockGeometry& geom,
-                const compress::Codec* codec, bool coherent) {
-  wire::WireReader r(rest);
-  const std::span<const std::byte> body =
-      r.length_prefixed("length-prefixed block");
-  decode_block(comm, tag, body, out, geom, codec, coherent);
-  rest = r.rest();
-}
-
-void take_block_blend(comm::Comm& comm, int tag,
-                      std::span<const std::byte>& rest,
-                      std::span<img::GrayA8> dst,
-                      const compress::BlockGeometry& geom,
-                      const compress::Codec* codec, img::BlendMode mode,
-                      bool src_front, std::vector<img::GrayA8>& scratch,
-                      bool coherent, int saturation) {
-  wire::WireReader r(rest);
-  const std::span<const std::byte> body =
-      r.length_prefixed("length-prefixed block");
-  decode_blend_block(comm, tag, body, dst, geom, codec, mode, src_front,
-                     scratch, coherent, saturation);
-  rest = r.rest();
-}
-
-std::vector<std::byte> pack_fragment(int depth, std::int64_t index,
-                                     std::span<const img::GrayA8> px) {
-  std::vector<std::byte> out;
-  out.reserve(12 + px.size() * img::kBytesPerPixel);
-  wire::WireWriter w(out);
-  w.u32(static_cast<std::uint32_t>(depth));
-  w.u64(static_cast<std::uint64_t>(index));
-  img::serialize_pixels_into(px, out);
-  return out;
 }
 
 Fragment unpack_fragment(std::span<const std::byte> bytes) {
@@ -443,28 +392,11 @@ img::Image gather_fragments(comm::Comm& comm, const img::Tiling& tiling,
     }
   }
 
-  const comm::GatherResult all =
-      comm::gather_partial(comm, root, kGatherTag, std::move(payload));
-  if (comm.rank() != root) return img::Image{};
-
-  const bool degrade = comm.resilience().degrade_on_loss();
-  img::Image out(width, height);
-  for (std::size_t src = 0; src < all.payloads.size(); ++src) {
-    if (!all.valid[src]) continue;  // lost rank: its blocks stay blank
-    try {
-      const std::int64_t px =
-          scatter_fragments_into(out, tiling, all.payloads[src], sink,
-                                 frame);
-      if (all.stale[src])
-        comm.note_stale(static_cast<std::int64_t>(src), px);
-    } catch (const wire::DecodeError&) {
-      if (!degrade) throw;
-      // Malformed gather payload: the sender's remaining blocks stay
-      // blank, recorded as a loss attributed to that rank.
-      comm.note_loss(static_cast<std::int64_t>(src), 0);
-    }
-  }
-  return out;
+  return gather_payloads(
+      comm, root, std::move(payload), width, height,
+      [&](img::Image& out, std::span<const std::byte> bytes) {
+        return scatter_fragments_into(out, tiling, bytes, sink, frame);
+      });
 }
 
 img::Image gather_spans(comm::Comm& comm, img::PixelSpan span,
@@ -481,25 +413,11 @@ img::Image gather_spans(comm::Comm& comm, img::PixelSpan span,
     img::serialize_pixels_into(pixels, payload);
   }
 
-  const comm::GatherResult all =
-      comm::gather_partial(comm, root, kGatherTag, std::move(payload));
-  if (comm.rank() != root) return img::Image{};
-
-  const bool degrade = comm.resilience().degrade_on_loss();
-  img::Image out(width, height);
-  for (std::size_t src = 0; src < all.payloads.size(); ++src) {
-    if (!all.valid[src]) continue;  // lost rank: its span stays blank
-    try {
-      const std::int64_t px =
-          scatter_span_into(out, all.payloads[src], sink, frame);
-      if (all.stale[src])
-        comm.note_stale(static_cast<std::int64_t>(src), px);
-    } catch (const wire::DecodeError&) {
-      if (!degrade) throw;
-      comm.note_loss(static_cast<std::int64_t>(src), 0);
-    }
-  }
-  return out;
+  return gather_payloads(
+      comm, root, std::move(payload), width, height,
+      [&](img::Image& out, std::span<const std::byte> bytes) {
+        return scatter_span_into(out, bytes, sink, frame);
+      });
 }
 
 }  // namespace rtc::compositing

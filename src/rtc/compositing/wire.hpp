@@ -5,8 +5,8 @@
 // typed wire::DecodeError instead of undefined behavior (see
 // docs/fault_model.md §6). The hot composition path is allocation-free
 // in steady state: encode buffers come from the rank's BufferPool,
-// received payloads are released back into it, and the *_blend variants
-// composite decoded runs directly into the destination block.
+// received payloads are released back into it, and decode_blend_block
+// composites decoded runs directly into the destination block.
 //
 // Coherent wire format (multi-frame sequences): when a sender passes a
 // frames::RankCoherence cache, every block body is prefixed with a
@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "rtc/comm/world.hpp"
@@ -48,56 +49,98 @@ void send_block(comm::Comm& comm, int dst, int tag,
                 const compress::Codec* codec,
                 frames::RankCoherence* cache = nullptr);
 
-/// Receives a block of `out.size()` pixels from `src` and decodes it.
-/// Malformed payload bytes throw wire::DecodeError. `coherent` must
-/// match the sender's use of a coherence cache.
-void recv_block(comm::Comm& comm, int src, int tag,
-                std::span<img::GrayA8> out,
-                const compress::BlockGeometry& geom,
-                const compress::Codec* codec, bool coherent = false);
+/// One block a message carries: its id and pixel count, for loss and
+/// staleness accounting.
+struct CarriedBlock {
+  std::int64_t id = 0;
+  std::int64_t pixels = 0;
+};
 
-/// Fault-tolerant recv_block. Under a degrading policy (kBlank or
-/// kRecompose) a lost message
-/// (dead peer or exhausted retry budget) *or a malformed payload* fills
-/// `out` with blank pixels, records `block_id`/pixel count via
-/// Comm::note_loss, and returns false; the caller skips the blend
-/// (blank is the identity). Under kThrow it behaves exactly like
-/// recv_block. Returns true when real pixels arrived. A coherent
-/// clean-blank marker counts as *arrived* (returns true, `out` filled
-/// blank, no loss recorded) and additionally sets `*clean_blank` so
-/// the caller can skip the blend charge.
-bool recv_block_or_blank(comm::Comm& comm, int src, int tag,
-                         std::span<img::GrayA8> out,
-                         const compress::BlockGeometry& geom,
-                         const compress::Codec* codec,
-                         const comm::ResiliencePolicy& policy,
-                         std::int64_t block_id, bool coherent = false,
-                         bool* clean_blank = nullptr);
+/// Consumes a received payload: `decode(payload, done)` increments
+/// `done` once for each carried block it finishes, in order, and throws
+/// wire::DecodeError on malformed bytes. A non-owning reference to the
+/// caller's callable, so no message allocates (std::function would);
+/// it lives as long as the recv_blocks call it is passed to.
+class PayloadDecoder {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, PayloadDecoder>)
+  PayloadDecoder(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(&f),
+        call_([](void* obj, std::span<const std::byte> p, std::size_t& n) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(p, n);
+        }) {}
+  void operator()(std::span<const std::byte> p, std::size_t& n) const {
+    call_(obj_, p, n);
+  }
 
-/// Fused fault-tolerant receive-and-blend: receives the peer's block
-/// and composites it straight into `dst` via Codec::decode_blend — no
-/// intermediate image materializes for codecs with a fused path (TRLE,
-/// RLE skip blank structure entirely). Charges the same codec and
-/// blend time as recv + blend, so virtual-time results are unchanged.
-/// Under a degrading policy a loss or malformed payload notes the loss
-/// and returns false without contributing (a payload that decodes
-/// partway before failing validation may leave a partial contribution
-/// in `dst`; the loss is recorded either way). `scratch` backs codecs
-/// without a fused path and is reused across calls. A coherent
-/// clean-blank marker is the blend identity: `dst` is untouched and no
-/// codec or blend time is charged.
-bool recv_block_blend(comm::Comm& comm, int src, int tag,
-                      std::span<img::GrayA8> dst,
-                      const compress::BlockGeometry& geom,
-                      const compress::Codec* codec, img::BlendMode mode,
-                      bool src_front, const comm::ResiliencePolicy& policy,
-                      std::int64_t block_id,
-                      std::vector<img::GrayA8>& scratch,
-                      bool coherent = false, int saturation = 0);
+ private:
+  void* obj_;
+  void (*call_)(void*, std::span<const std::byte>, std::size_t&);
+};
+
+/// The one receive path of every compositor: receives the message from
+/// `src` on `tag` that carries `blocks` and hands its payload to
+/// `decode`; the payload then returns to the pool. What a lost, stale
+/// or malformed message does to its blocks is decided here, once:
+///   - under kThrow a loss throws Comm::recv's CommError and malformed
+///     bytes propagate as wire::DecodeError;
+///   - under a degrading policy (kBlank, kRecompose) a lost message
+///     notes every block it carries as a loss, and a payload that
+///     fails validation notes each block `decode` did not finish;
+///   - a block counts as stale only once it was decoded from a
+///     substituted payload (Comm::last_recv_stale). A lost or rejected
+///     block is a loss and never stale.
+/// Returns true when the whole payload decoded. Callers react to false
+/// in their own way (skip the fold, restart a ring segment, leave the
+/// block as it is); the accounting is already done.
+bool recv_blocks(comm::Comm& comm, int src, int tag,
+                 const comm::ResiliencePolicy& policy,
+                 std::span<const CarriedBlock> blocks,
+                 PayloadDecoder decode);
+
+/// The one blend rule: folds `src` into `dst` by `mode`, `src_front`
+/// saying which side `src` is on under kOver. With `saturation` > 0
+/// and kOver it is the approximate rung's blend
+/// (img::blend_in_place_approx). Charges To for the blended pixels
+/// and reports skipped ones through Comm::note_approx.
+void blend_block(comm::Comm& comm, std::span<img::GrayA8> dst,
+                 std::span<const img::GrayA8> src, img::BlendMode mode,
+                 bool src_front, int saturation);
+
+/// Decodes one block payload into `out` (raw when `codec` is null) and
+/// charges codec time. Returns true for a coherent clean-blank marker:
+/// `out` is filled blank for free and the caller can skip the blend.
+/// `coherent` must match the sender's use of a coherence cache.
+/// Malformed bytes throw wire::DecodeError.
+bool decode_block(comm::Comm& comm, int tag,
+                  std::span<const std::byte> bytes,
+                  std::span<img::GrayA8> out,
+                  const compress::BlockGeometry& geom,
+                  const compress::Codec* codec, bool coherent = false);
+
+/// Fused decode-and-blend of one block payload into `dst` via
+/// Codec::decode_blend (or decode_blend_approx under the approx rule):
+/// no intermediate image materializes for codecs with a fused path
+/// (TRLE, RLE skip blank structure entirely). Charges the same codec
+/// and blend time as decode_block + blend_block, so virtual-time
+/// results are unchanged. A payload that decodes partway before
+/// failing validation may leave a partial contribution in `dst`.
+/// `scratch` backs codecs without a fused path and is reused across
+/// calls. A coherent clean-blank marker is the blend identity: `dst`
+/// is untouched and no codec or blend time is charged.
+void decode_blend_block(comm::Comm& comm, int tag,
+                        std::span<const std::byte> bytes,
+                        std::span<img::GrayA8> dst,
+                        const compress::BlockGeometry& geom,
+                        const compress::Codec* codec, img::BlendMode mode,
+                        bool src_front, std::vector<img::GrayA8>& scratch,
+                        bool coherent = false, int saturation = 0);
 
 /// Appends one length-prefixed encoded block to `payload` — used to
 /// aggregate several blocks for the same receiver into one message, and
-/// for the pipelined ring's traveling segments.
+/// for the pipelined ring's traveling segments; the receiver frames
+/// each one with wire::WireReader::length_prefixed.
 /// Encodes directly into `payload` (no intermediate body buffer).
 /// `tag` attributes the encode span to its compositor step (obs).
 /// With `cache`, `peer` keys the coherence slot (the receiving rank).
@@ -108,35 +151,11 @@ void append_block(comm::Comm& comm, int tag,
                   const compress::Codec* codec,
                   frames::RankCoherence* cache = nullptr, int peer = -1);
 
-/// Consumes one length-prefixed block from `rest` (advancing it) and
-/// decodes exactly `out.size()` pixels. Malformed framing or payload
-/// throws wire::DecodeError.
-void take_block(comm::Comm& comm, int tag,
-                std::span<const std::byte>& rest,
-                std::span<img::GrayA8> out,
-                const compress::BlockGeometry& geom,
-                const compress::Codec* codec, bool coherent = false);
-
-/// take_block fused with the blend: consumes one length-prefixed block
-/// from `rest` and composites it straight into `dst`. Charges codec
-/// time plus the blend's To like take_block + blend_in_place +
-/// charge_over would. A coherent clean-blank block charges neither.
-void take_block_blend(comm::Comm& comm, int tag,
-                      std::span<const std::byte>& rest,
-                      std::span<img::GrayA8> dst,
-                      const compress::BlockGeometry& geom,
-                      const compress::Codec* codec, img::BlendMode mode,
-                      bool src_front, std::vector<img::GrayA8>& scratch,
-                      bool coherent = false, int saturation = 0);
-
 /// Tag bases; methods use step numbers below kGatherTag.
 inline constexpr int kGatherTag = 1'000'000;
 
 /// A self-describing final-image fragment used by the gather stage:
 /// [u32 depth][u64 index][raw pixels].
-[[nodiscard]] std::vector<std::byte> pack_fragment(
-    int depth, std::int64_t index, std::span<const img::GrayA8> px);
-
 struct Fragment {
   int depth = 0;
   std::int64_t index = 0;
@@ -182,9 +201,11 @@ struct OwnedBlock {
 /// assembled `width` x `height` image at `root`; other ranks return an
 /// empty image. `owned` lists this rank's final blocks against
 /// `tiling`, each view exactly its block's size. Under a degrading
-/// policy a rank whose payload is lost or malformed leaves its blocks
-/// blank (recorded via note_loss); under kThrow malformed bytes
-/// propagate as wire::DecodeError. With `sink`, the root delivers each
+/// policy a lost rank's blocks stay blank (Comm counts the lost
+/// message), and a malformed payload leaves the rest of its blocks
+/// blank and is noted as a loss of that rank; under kThrow malformed
+/// bytes propagate as wire::DecodeError. A substituted payload is
+/// noted stale once it scattered. With `sink`, the root delivers each
 /// gathered fragment incrementally as a tile of `frame` (lost ranks'
 /// regions are never delivered — they stay blank).
 [[nodiscard]] img::Image gather_fragments(

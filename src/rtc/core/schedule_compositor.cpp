@@ -195,62 +195,31 @@ img::Image ScheduleCompositor::run_core(
         }
         comm.send(receiver, tag, std::move(payload));
       }
-      const bool blank_on_loss = opt.resilience.degrade_on_loss();
       for (const auto& [sender, merges] : incoming_by_sender) {
-        std::vector<std::byte> payload;
-        if (blank_on_loss) {
-          std::optional<std::vector<std::byte>> got =
-              comm.try_recv(sender, tag);
-          if (!got) {
-            // The whole aggregated message is gone: every block it
-            // carried degrades to blank (identity — no blend, no To).
-            for (const Merge* m : merges) {
-              const img::PixelSpan span =
-                  tiling.block(step.depth, m->block);
-              comm.note_loss(m->block, span.size());
-            }
-            continue;
-          }
-          payload = std::move(*got);
-        } else {
-          payload = comm.recv(sender, tag);
-        }
-        if (comm.last_recv_stale()) {
-          // The whole aggregated message was substituted from last
-          // frame: every block it carries is one frame old.
-          for (const Merge* m : merges) {
-            const img::PixelSpan span = tiling.block(step.depth, m->block);
-            comm.note_stale(m->block, span.size());
-          }
-        }
-        std::span<const std::byte> rest(payload);
-        std::size_t done = 0;
-        try {
-          for (const Merge* m : merges) {
-            const img::PixelSpan span = tiling.block(step.depth, m->block);
-            const compress::BlockGeometry geom{partial.width(),
-                                               span.begin};
-            compositing::take_block_blend(comm, tag, rest,
-                                          store.write(span), geom,
-                                          opt.codec, opt.blend,
-                                          m->sender_front, scratch,
-                                          coherent,
-                                          opt.approx_saturation);
-            ++done;
-          }
-          wire::require(rest.empty(), wire::DecodeError::Kind::kTrailing,
-                        "trailing bytes in aggregated message");
-        } catch (const wire::DecodeError&) {
-          if (!blank_on_loss) throw;
-          // Malformed aggregate: blocks not yet consumed degrade to
-          // losses, same as if the message never arrived.
-          for (std::size_t i = done; i < merges.size(); ++i) {
-            const img::PixelSpan span =
-                tiling.block(step.depth, merges[i]->block);
-            comm.note_loss(merges[i]->block, span.size());
-          }
-        }
-        comm.pool().release(std::move(payload));
+        std::vector<compositing::CarriedBlock> carried;
+        for (const Merge* m : merges)
+          carried.push_back(
+              {m->block, tiling.block(step.depth, m->block).size()});
+        // A lost or malformed aggregate leaves every block it did not
+        // finish as it is: blank is the identity, so no blend, no To.
+        compositing::recv_blocks(
+            comm, sender, tag, opt.resilience, carried,
+            [&](std::span<const std::byte> payload, std::size_t& done) {
+              wire::WireReader in(payload);
+              for (const Merge* m : merges) {
+                const img::PixelSpan span =
+                    tiling.block(step.depth, m->block);
+                const compress::BlockGeometry geom{partial.width(),
+                                                   span.begin};
+                compositing::decode_blend_block(
+                    comm, tag, in.length_prefixed("length-prefixed block"),
+                    store.write(span), geom, opt.codec, opt.blend,
+                    m->sender_front, scratch, coherent,
+                    opt.approx_saturation);
+                ++done;
+              }
+              in.finish("trailing bytes in aggregated message");
+            });
       }
       comm.mark(tag);
       continue;
@@ -268,11 +237,15 @@ img::Image ScheduleCompositor::run_core(
       if (m.receiver != r) continue;
       const img::PixelSpan span = tiling.block(step.depth, m.block);
       const compress::BlockGeometry geom{partial.width(), span.begin};
-      compositing::recv_block_blend(comm, m.sender, tag, store.write(span),
-                                    geom, opt.codec, opt.blend,
-                                    m.sender_front, opt.resilience,
-                                    m.block, scratch, coherent,
-                                    opt.approx_saturation);
+      const compositing::CarriedBlock carried[] = {{m.block, span.size()}};
+      compositing::recv_blocks(
+          comm, m.sender, tag, opt.resilience, carried,
+          [&](std::span<const std::byte> bytes, std::size_t&) {
+            compositing::decode_blend_block(
+                comm, tag, bytes, store.write(span), geom, opt.codec,
+                opt.blend, m.sender_front, scratch, coherent,
+                opt.approx_saturation);
+          });
     }
     comm.mark(tag);
   }

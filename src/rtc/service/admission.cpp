@@ -66,14 +66,14 @@ void AdmissionController::offer(Session& s, const Request& r, double now,
       // session's quality class one rung down (clamped at the policy's
       // max_rung) and admit beyond the cap — the deeper classes serve
       // faster, so the queue drains instead of overflowing, and no
-      // request is ever dropped.
+      // request is ever dropped. The class is a request, not a serve:
+      // the frame's rung rule may compose at a shallower rung, so the
+      // session's floor moves only when a frame is delivered.
       const quality::Rung next =
           quality::step_down(s.quality_class, quality_.max_rung);
       if (next != s.quality_class) {
         s.quality_class = next;
         s.stats.quality_degrades += 1;
-        if (static_cast<int>(next) > s.stats.quality_floor)
-          s.stats.quality_floor = static_cast<int>(next);
         if (record_spans_)
           spans.push_back(instant(obs::SpanKind::kDegrade, s.id(),
                                   static_cast<std::int64_t>(next), now));

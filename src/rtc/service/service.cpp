@@ -187,9 +187,11 @@ ServiceResult run_service(const ServiceConfig& cfg) {
                     stale_serve ? std::int64_t{cfg.image_size} *
                                       cfg.image_size
                                 : 0);
-      if (static_cast<int>(rung) > out.stats.quality_rung)
-        out.stats.quality_rung = static_cast<int>(rung);
-      if (out.stats.error_bound < 255) out.stats.error_bound = 255;
+      // The run's summary folds the same 255 the sessions carry.
+      out.stats.quality_rung =
+          std::max(out.stats.quality_rung, static_cast<int>(rung));
+      out.stats.error_bound = std::max(out.stats.error_bound, 255);
+      out.stats.max_pixel_error = std::max(out.stats.max_pixel_error, 255);
       if (gather) {
         sub.image = stale_serve ? lead.last_image
                                 : img::Image(cfg.image_size, cfg.image_size);

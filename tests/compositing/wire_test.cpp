@@ -1,20 +1,30 @@
-// The wire helpers: fragments, aggregated blocks, span gather, and the
-// traffic bookkeeping they produce.
+// The wire helpers: fragments, aggregated blocks, span gather, the one
+// receive rule every compositor shares, and the traffic bookkeeping
+// they produce.
 #include "rtc/compositing/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include "rtc/comm/stale.hpp"
 #include "rtc/common/check.hpp"
+#include "rtc/common/wire.hpp"
+#include "rtc/harness/experiment.hpp"
 #include "rtc/image/ops.hpp"
+#include "rtc/image/serialize.hpp"
 #include "testutil.hpp"
 
 namespace rtc::compositing {
 namespace {
 
 TEST(Wire, FragmentRoundTrip) {
+  // A gather fragment as gather_fragments packs it:
+  // [u32 depth][u64 index][raw pixels].
   const img::Image im = test::random_image(8, 4, 9);
-  const std::vector<std::byte> bytes =
-      pack_fragment(3, 17, im.pixels());
+  std::vector<std::byte> bytes;
+  wire::WireWriter w(bytes);
+  w.u32(3);
+  w.u64(17);
+  img::serialize_pixels_into(im.pixels(), bytes);
   const Fragment f = unpack_fragment(bytes);
   EXPECT_EQ(f.depth, 3);
   EXPECT_EQ(f.index, 17);
@@ -29,7 +39,7 @@ TEST(Wire, TruncatedFragmentThrows) {
   EXPECT_THROW((void)unpack_fragment(tiny), ContractError);
 }
 
-TEST(Wire, AppendTakeBlocksThroughCodec) {
+TEST(Wire, AppendedBlocksFrameAndDecodeThroughCodec) {
   const img::Image im = test::banded_image(16, 8, 2);
   const auto codec = compress::make_trle_codec();
   const compress::BlockGeometry geom{16, 0};
@@ -43,12 +53,14 @@ TEST(Wire, AppendTakeBlocksThroughCodec) {
       c.send(1, 0, std::move(payload));
     } else {
       const std::vector<std::byte> payload = c.recv(0, 0);
-      std::span<const std::byte> rest(payload);
+      wire::WireReader rest(payload);
       std::vector<img::GrayA8> a(
           static_cast<std::size_t>(im.pixel_count()));
       std::vector<img::GrayA8> b(a.size());
-      take_block(c, /*tag=*/0, rest, a, geom, codec.get());
-      take_block(c, /*tag=*/0, rest, b, geom, nullptr);
+      decode_block(c, /*tag=*/0, rest.length_prefixed("block"), a, geom,
+                   codec.get());
+      decode_block(c, /*tag=*/0, rest.length_prefixed("block"), b, geom,
+                   nullptr);
       EXPECT_TRUE(rest.empty());
       for (std::int64_t i = 0; i < im.pixel_count(); ++i) {
         EXPECT_EQ(a[static_cast<std::size_t>(i)],
@@ -104,9 +116,13 @@ TEST(Wire, PooledBuffersRecycleInSteadyState) {
     const int peer = 1 - c.rank();
     std::vector<img::GrayA8> out(
         static_cast<std::size_t>(im.pixel_count()));
+    const CarriedBlock carried[] = {{0, im.pixel_count()}};
     for (int round = 0; round < kRounds; ++round) {
       send_block(c, peer, round, im.pixels(), geom, codec.get());
-      recv_block(c, peer, round, out, geom, codec.get());
+      recv_blocks(c, peer, round, comm::ResiliencePolicy{}, carried,
+                  [&](std::span<const std::byte> bytes, std::size_t&) {
+                    decode_block(c, round, bytes, out, geom, codec.get());
+                  });
     }
     hits[c.rank()] = c.pool().hits();
     misses[c.rank()] = c.pool().misses();
@@ -118,6 +134,68 @@ TEST(Wire, PooledBuffersRecycleInSteadyState) {
     EXPECT_GE(hits[r], static_cast<std::size_t>(3 * (kRounds - 2)))
         << "rank " << r;
     EXPECT_LE(misses[r], static_cast<std::size_t>(3 * 2)) << "rank " << r;
+  }
+}
+
+TEST(Wire, OneReceiveRuleAtEverySite) {
+  // recv_blocks decides what a substituted payload does to the blocks
+  // it carries, for every compositor: a block decoded from it counts
+  // stale, and a block whose bytes fail validation counts as a loss and
+  // never as stale. Frame 0 fills the staleness store with TRLE
+  // payloads. Frames 1 and 2 run with every message past the deadline,
+  // so every receive substitutes frame 0's bytes: frame 1 decodes them
+  // as TRLE, frame 2 as raw, which rejects them.
+  struct Site {
+    const char* method;
+    int blocks;
+    bool aggregate;
+  };
+  const Site sites[] = {{"rt_n", 3, false},  {"rt_n", 3, true},
+                        {"radix", 4, false}, {"pp", 1, false},
+                        {"pp_exact", 1, false}};
+  const int p = 4;
+  std::vector<img::Image> partials;
+  for (int r = 0; r < p; ++r)
+    partials.push_back(
+        test::banded_image(24, 16, 30u + static_cast<std::uint32_t>(r)));
+  for (const Site& site : sites) {
+    SCOPED_TRACE(std::string(site.method) +
+                 (site.aggregate ? " aggregated" : ""));
+    comm::StaleStore store(p);
+    harness::CompositionConfig cfg;
+    cfg.method = site.method;
+    cfg.initial_blocks = site.blocks;
+    cfg.aggregate_messages = site.aggregate;
+    cfg.codec = "trle";
+    cfg.resilience.on_peer_loss = comm::ResiliencePolicy::PeerLoss::kBlank;
+    cfg.stale = &store;
+    cfg.deadline = 1e9;  // nothing is late; every payload is stored
+    const harness::CompositionRun fill =
+        harness::run_composition(cfg, partials);
+    ASSERT_EQ(fill.stats.total_deadline_misses(), 0);
+
+    cfg.deadline = 1e-4;
+    cfg.fault.seed = 7;
+    for (int src = 0; src < p; ++src)
+      for (int dst = 0; dst < p; ++dst)
+        if (src != dst) cfg.fault.jitters.push_back({src, dst, 10.0});
+    const harness::CompositionRun decoded =
+        harness::run_composition(cfg, partials);
+    EXPECT_GT(decoded.stats.total_stale_tiles(), 0);
+    EXPECT_TRUE(decoded.stats.all_lost_blocks().empty());
+    EXPECT_EQ(decoded.stats.total(&comm::RankCounters::lost_pixels), 0);
+
+    cfg.codec = "raw";
+    const harness::CompositionRun rejected =
+        harness::run_composition(cfg, partials);
+    EXPECT_EQ(rejected.stats.total_deadline_misses(),
+              decoded.stats.total_deadline_misses());
+    EXPECT_EQ(rejected.stats.total_stale_tiles(), 0);
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  rejected.stats.all_lost_blocks().size()),
+              decoded.stats.total_stale_tiles());
+    EXPECT_EQ(rejected.stats.total(&comm::RankCounters::lost_pixels),
+              decoded.stats.total_stale_pixels());
   }
 }
 

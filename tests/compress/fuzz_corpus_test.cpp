@@ -328,9 +328,9 @@ TEST(FuzzCorpus, CoherentBlockMarkersRejectMutants) {
   // Coherent-format blocks carry a one-byte marker ahead of the body
   // (0 = payload follows, 1 = clean blank, nothing else). Mutants that
   // stomp the marker, orphan it, or graft garbage after a clean-blank
-  // must throw DecodeError through take_block's full framing path —
-  // which needs a live Comm for the decode charge, so drive it inside
-  // a one-rank world.
+  // must throw DecodeError through the full framing path the receivers
+  // take (length prefix, then decode_block) — which needs a live Comm
+  // for the decode charge, so drive it inside a one-rank world.
   const img::Image im = test::banded_image(16, 16, 3);
   const compress::BlockGeometry geom{16, 0};
   const std::unique_ptr<compress::Codec> codec =
@@ -363,16 +363,17 @@ TEST(FuzzCorpus, CoherentBlockMarkersRejectMutants) {
     std::uint64_t seed = 0x5eed0710;
     for (const std::vector<std::byte>& valid : entries) {
       expect_rejects_cleanly(valid, seed++, [&](const auto& m) {
-        std::span<const std::byte> rest = m;
-        compositing::take_block(c, /*tag=*/0, rest, out, geom,
-                                codec.get(), /*coherent=*/true);
+        wire::WireReader r(m);
+        compositing::decode_block(c, /*tag=*/0,
+                                  r.length_prefixed("length-prefixed block"),
+                                  out, geom, codec.get(), /*coherent=*/true);
       });
     }
   });
 }
 
 TEST(FuzzCorpus, AggregatedBlockFramingRejectsMutants) {
-  // take_block's framing layer: [u64 len][body] repeated. Drive the
+  // The receivers' framing layer: [u64 len][body] repeated. Drive the
   // reader directly (the comm charge needs no World here).
   const img::Image im = test::banded_image(16, 16, 3);
   const compress::BlockGeometry geom{16, 0};

@@ -380,7 +380,9 @@ TEST(Contract, ApproxBoundHoldsAcrossSeedsMethodsAndRanks) {
   QualityPolicy pol;
   pol.max_rung = Rung::kApprox;
   for (const std::uint32_t seed : {100u, 900u}) {
-    for (const char* method : {"bswap", "rt", "direct"}) {
+    // radix and pp_exact are order-correct; the loose pp ring keeps its
+    // documented seam defect, so its exact run is no reference.
+    for (const char* method : {"bswap", "rt", "direct", "radix", "pp_exact"}) {
       for (const int p : {4, 8}) {
         const auto partials = make_partials(p, seed);
         const harness::CompositionRun exact =
@@ -539,8 +541,8 @@ TEST(Quality, DegradedRunsArePinned) {
       {"bswap", 1, 0x7ea2a3300165ab0cull},
       {"bswap_any", 1, 0x7ea2a3300165ab0cull},
       {"direct", 1, 0x4fc12a690f91c4a5ull},
-      {"radix", 4, 0x828001f72c6434bdull},
-      {"pp", 1, 0x932ca60843277eb3ull},
+      {"radix", 4, 0x32f1ecb3f76886a0ull},
+      {"pp", 1, 0xedd36258d58f2f80ull},
   };
   for (const PinnedRung& m : methods) {
     std::uint64_t fold = 1469598103934665603ull;
@@ -576,11 +578,11 @@ TEST(Quality, DegradedRunsArePinned) {
             ASSERT_EQ(run.stats.quality_rung, static_cast<int>(rung))
                 << m.method << " P=" << p << " codec=" << codec;
             // Both regimes are pinned: skipped blends on the noisy set
-            // (radix and pp blend exactly at every rung), a progressive
-            // bound below the clamp on the smooth one.
-            if (rung == Rung::kApprox && !smooth &&
-                core::is_schedule_method(cfg.method)) {
-              EXPECT_GT(run.stats.total_approx_skipped_pixels(), 0);
+            // (every method's blends take the approx rule), a
+            // progressive bound below the clamp on the smooth one.
+            if (rung == Rung::kApprox && !smooth) {
+              EXPECT_GT(run.stats.total_approx_skipped_pixels(), 0)
+                  << m.method << " P=" << p << " codec=" << codec;
             }
             if (rung == Rung::kProgressive) {
               EXPECT_EQ(run.stats.error_bound < 255, smooth);

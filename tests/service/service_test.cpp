@@ -5,6 +5,7 @@
 // submission's sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <set>
@@ -438,9 +439,19 @@ TEST(RunService, MaxErrorBindsStaleAndBlankClasses) {
     return n;
   };
 
+  // The run's summary agrees with its sessions: one accumulator.
+  const auto session_max_error = [](const ServiceResult& r) {
+    int m = 0;
+    for (const comm::SessionStats& s : r.stats.sessions)
+      m = std::max(m, s.max_pixel_error);
+    return m;
+  };
+
   const ServiceResult full = run_service(sc);
   ASSERT_GT(stale_serves(full), 0) << "the overload must reach stale";
   EXPECT_EQ(full.stats.error_bound, 255);
+  EXPECT_EQ(full.stats.max_pixel_error, 255);
+  EXPECT_EQ(full.stats.max_pixel_error, session_max_error(full));
   std::uint64_t fold = 1469598103934665603ull;
   const auto mix = [&fold](std::uint64_t v) {
     fold = (fold ^ v) * 1099511628211ull;
@@ -455,7 +466,7 @@ TEST(RunService, MaxErrorBindsStaleAndBlankClasses) {
   for (const Delivery& d : full.deliveries)
     mix(std::bit_cast<std::uint64_t>(d.latency()));
   mix(static_cast<std::uint64_t>(full.stats.max_pixel_error));
-  EXPECT_EQ(fold, 0x2505e304dad363b9ull) << "0x" << std::hex << fold;
+  EXPECT_EQ(fold, 0x25051204dad20096ull) << "0x" << std::hex << fold;
 
   sc.comp.quality.max_error = 46;  // the approx bound at saturation 240
   const ServiceResult bound = run_service(sc);
@@ -465,6 +476,11 @@ TEST(RunService, MaxErrorBindsStaleAndBlankClasses) {
             static_cast<int>(quality::Rung::kProgressive));
   EXPECT_LE(bound.stats.error_bound, 46);
   EXPECT_LE(bound.stats.max_pixel_error, 46);
+  EXPECT_EQ(bound.stats.max_pixel_error, session_max_error(bound));
+  // The floor is the deepest rung actually served, not the class the
+  // admission stepped to.
+  EXPECT_LE(bound.stats.session_quality_floor(),
+            static_cast<int>(quality::Rung::kProgressive));
   for (const comm::SessionStats& s : bound.stats.sessions) {
     EXPECT_LE(s.max_pixel_error, 46) << "session " << s.session;
     EXPECT_EQ(s.stale_pixels, 0) << "session " << s.session;
